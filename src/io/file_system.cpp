@@ -5,6 +5,7 @@
 
 #include "io/dxt.hpp"
 #include "support/assert.hpp"
+#include "support/repeat_add.hpp"
 #include "trace/tracer.hpp"
 
 namespace exa::io {
@@ -20,13 +21,73 @@ struct Occupancy {
   double end_s = 0.0;
 };
 
-Occupancy occupy(double& cursor_s, double start_s, double duration_s) {
+/// `count` back-to-back charges of `duration_s` on one resource (each
+/// begins where the previous ended); returns the first begin and the last
+/// end, bitwise equal to `count` single charges.
+Occupancy occupy(double& cursor_s, double start_s, double duration_s,
+                 std::uint64_t count = 1) {
   if (duration_s == 0.0) return {start_s, start_s};
   Occupancy occ;
   occ.begin_s = std::max(start_s, cursor_s);
-  occ.end_s = occ.begin_s + duration_s;
+  occ.end_s = support::repeat_add(occ.begin_s, duration_s, count);
   cursor_s = occ.end_s;
   return occ;
+}
+
+/// `count` equal chunks of one striped extent that land on one OST: the
+/// chunks with stripe indices `first_chunk`, `first_chunk + stripe_count`,
+/// and so on.
+struct StripeRun {
+  std::uint64_t first_chunk = 0;  ///< stripe index of the first chunk
+  double offset = 0.0;            ///< file offset of the first chunk
+  double chunk = 0.0;             ///< bytes per chunk
+  std::uint64_t count = 0;        ///< chunks in the run
+};
+
+/// Splits `bytes` at `offset` into the chunks of the round-robin stripe
+/// walk and hands `visit` one run per OST, in first-touch order: the head
+/// chunk up to the first stripe boundary, then m whole stripes, of which
+/// the i-th OST after the head gets ceil((m - i) / stripe_count), then the
+/// tail. O(stripe_count) whatever the size.
+///
+/// Per OST, the runs come in the walk's chunk order, and every chunk
+/// value is the walk's: the head and tail are taken by the walk's own
+/// step, and between them the cursor sits on whole-byte stripe boundaries
+/// below 2^53 (IoConfig::validate, FileSystem::write), where each chunk is
+/// exactly `stripe` and `remaining -= stripe` is exact.
+template <class Visit>
+void for_each_stripe_run(double offset, double bytes, double stripe,
+                         int stripe_count, Visit&& visit) {
+  auto index = static_cast<std::uint64_t>(offset / stripe);
+  double cursor = offset;
+  double remaining = bytes;
+  // One step of the walk: the chunk from `cursor` to the end of stripe
+  // `index`, clipped to what remains.
+  const auto step = [&] {
+    const double chunk_end = static_cast<double>(index + 1) * stripe;
+    const double chunk = std::min(remaining, std::max(0.0, chunk_end - cursor));
+    if (chunk > 0.0) {
+      visit(StripeRun{index, cursor, chunk, 1});
+      remaining -= chunk;
+    }
+    cursor = chunk_end;
+    ++index;
+  };
+  step();  // head
+  const double tail = std::fmod(remaining, stripe);  // exact
+  const auto whole = static_cast<std::uint64_t>((remaining - tail) / stripe);
+  const auto stride = static_cast<std::uint64_t>(stripe_count);
+  for (std::uint64_t i = 0; i < std::min(whole, stride); ++i) {
+    visit(StripeRun{index + i, static_cast<double>(index + i) * stripe,
+                    stripe, (whole - i + stride - 1) / stride});
+  }
+  index += whole;
+  cursor = static_cast<double>(index) * stripe;
+  remaining = tail;
+  step();  // tail
+  // A chunk end above 2^53 rounds, but offset + bytes < 2^53 leaves the
+  // tail too little rounding slack to be cut short by it.
+  EXA_ASSERT(remaining == 0.0);
 }
 
 }  // namespace
@@ -76,6 +137,10 @@ double FileSystem::write(FileHandle handle, double offset, double bytes,
   EXA_REQUIRE_MSG(std::isfinite(bytes) && bytes >= 0.0,
                   "write: bytes must be finite and >= 0");
   EXA_REQUIRE_MSG(std::isfinite(start_s), "write: start time must be finite");
+  EXA_REQUIRE_MSG(offset + bytes < 0x1p53,
+                  "write: offset + bytes must be < 2^53 (9 PB), the range "
+                  "where every byte position is an exact double; split the "
+                  "file");
   if (bytes == 0.0) return start_s;
   bytes_written_ += bytes;
 
@@ -134,7 +199,7 @@ double FileSystem::flush(int node, double start_s) {
   if (static_cast<std::size_t>(node) >= buffers_.size()) return start_s;
   BurstBuffer& bb = buffers_[static_cast<std::size_t>(node)];
   retire(node, start_s);
-  schedule_backlog(bb, node, start_s);
+  schedule_backlog(bb, start_s);
   const double end_s =
       bb.pending.empty() ? start_s : std::max(start_s, bb.pending.back().end_s);
   retire(node, end_s);
@@ -176,7 +241,6 @@ double FileSystem::ost_busy_until(int ost) const {
 double FileSystem::pfs_write(int file_id, int rank, double offset,
                              double bytes, double start_s) {
   const File& file = files_[static_cast<std::size_t>(file_id)];
-  const double stripe = config_.pfs.stripe_size_bytes;
   const double bw = config_.pfs.ost_bandwidth_bytes_per_s;
 
   /// Per-OST aggregation of this call's chunks into one DXT record each.
@@ -190,40 +254,32 @@ double FileSystem::pfs_write(int file_id, int rank, double offset,
   std::vector<Extent> extents;
   extents.reserve(static_cast<std::size_t>(file.stripe_count));
 
-  // Walk integer chunk indices rather than stepping the double cursor by
-  // each chunk's size: with non-representable stripe sizes a fractional
-  // chunk can round below one ulp of the cursor and stall it forever.
-  // Pinning the cursor to exact chunk boundaries guarantees progress.
   double completion_s = start_s;
-  double cursor = offset;
-  double remaining = bytes;
-  auto chunk_index = static_cast<std::uint64_t>(offset / stripe);
-  while (remaining > 0.0) {
-    const double chunk_end = static_cast<double>(chunk_index + 1) * stripe;
-    const double chunk = std::min(remaining, std::max(0.0, chunk_end - cursor));
-    if (chunk > 0.0) {
-      const int ost = ost_of(file, chunk_index);
-      const Occupancy occ =
-          occupy(ost_cursor_[static_cast<std::size_t>(ost)], start_s,
-                 chunk / bw);
-      ost_bytes_[static_cast<std::size_t>(ost)] += chunk;
-      bytes_landed_ += chunk;
-      completion_s = std::max(completion_s, occ.end_s);
+  for_each_stripe_run(
+      offset, bytes, config_.pfs.stripe_size_bytes, file.stripe_count,
+      [&](const StripeRun& run) {
+        const int ost = ost_of(file, run.first_chunk);
+        const auto slot = static_cast<std::size_t>(ost);
+        const Occupancy occ =
+            occupy(ost_cursor_[slot], start_s, run.chunk / bw, run.count);
+        ost_bytes_[slot] =
+            support::repeat_add(ost_bytes_[slot], run.chunk, run.count);
+        bytes_landed_ =
+            support::repeat_add(bytes_landed_, run.chunk, run.count);
+        completion_s = std::max(completion_s, occ.end_s);
 
-      auto it = std::find_if(extents.begin(), extents.end(),
-                             [ost](const Extent& e) { return e.ost == ost; });
-      if (it == extents.end()) {
-        extents.push_back({ost, cursor, chunk, occ.begin_s, occ.end_s});
-      } else {
-        it->bytes += chunk;
-        it->begin_s = std::min(it->begin_s, occ.begin_s);
-        it->end_s = std::max(it->end_s, occ.end_s);
-      }
-      remaining -= chunk;
-    }
-    cursor = chunk_end;
-    ++chunk_index;
-  }
+        auto it = std::find_if(extents.begin(), extents.end(),
+                               [ost](const Extent& e) { return e.ost == ost; });
+        if (it == extents.end()) {
+          extents.push_back({ost, run.offset,
+                             support::repeat_add(0.0, run.chunk, run.count),
+                             occ.begin_s, occ.end_s});
+        } else {
+          it->bytes = support::repeat_add(it->bytes, run.chunk, run.count);
+          it->begin_s = std::min(it->begin_s, occ.begin_s);
+          it->end_s = std::max(it->end_s, occ.end_s);
+        }
+      });
   for (const Extent& e : extents) {
     record({AccessRecord::Op::kWrite, rank, file.path, e.ost, e.offset,
             e.bytes, e.begin_s, e.end_s});
@@ -242,22 +298,13 @@ double FileSystem::metadata_op(AccessRecord::Op op, int rank, int file_id,
 
 void FileSystem::account_landing(int file_id, double offset, double bytes) {
   const File& file = files_[static_cast<std::size_t>(file_id)];
-  const double stripe = config_.pfs.stripe_size_bytes;
-  // Same integer-index walk as pfs_write: never step the cursor by a
-  // possibly sub-ulp fractional chunk.
-  double cursor = offset;
-  double remaining = bytes;
-  auto chunk_index = static_cast<std::uint64_t>(offset / stripe);
-  while (remaining > 0.0) {
-    const double chunk_end = static_cast<double>(chunk_index + 1) * stripe;
-    const double chunk = std::min(remaining, std::max(0.0, chunk_end - cursor));
-    if (chunk > 0.0) {
-      ost_bytes_[static_cast<std::size_t>(ost_of(file, chunk_index))] += chunk;
-      remaining -= chunk;
-    }
-    cursor = chunk_end;
-    ++chunk_index;
-  }
+  for_each_stripe_run(offset, bytes, config_.pfs.stripe_size_bytes,
+                      file.stripe_count, [&](const StripeRun& run) {
+                        double& landed = ost_bytes_[static_cast<std::size_t>(
+                            ost_of(file, run.first_chunk))];
+                        landed = support::repeat_add(landed, run.chunk,
+                                                     run.count);
+                      });
   bytes_landed_ += bytes;
 }
 
@@ -277,8 +324,7 @@ void FileSystem::retire(int node, double now_s) {
   if (bb.pending.empty() && bb.backlog.empty()) bb.resident_bytes = 0.0;
 }
 
-void FileSystem::schedule_backlog(BurstBuffer& bb, int node, double start_s) {
-  (void)node;
+void FileSystem::schedule_backlog(BurstBuffer& bb, double start_s) {
   const BurstBufferConfig& bbc = config_.burst_buffer;
   for (const BacklogEntry& entry : bb.backlog) {
     const Occupancy drain = occupy(bb.drain_until_s, start_s,

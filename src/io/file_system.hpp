@@ -17,6 +17,13 @@
 ///
 /// Writes are striped round-robin over `stripe_count` OSTs in
 /// `stripe_size_bytes` chunks starting at OST `file_id % ost_count`.
+/// Striping is priced in closed form: a write is a head chunk, m whole
+/// stripes and a tail, so each OST's share is a few runs of equal chunks,
+/// and `support::repeat_add` advances its cursor and byte ledgers by a
+/// whole run at once, bitwise equal to charging chunk by chunk. A write
+/// costs O(stripe_count) host time whatever its size. Exactness needs
+/// whole-byte stripes and byte positions below 2^53, which `validate()`
+/// and `write()` enforce.
 /// With a burst buffer configured, a write is absorbed by the writer's
 /// node-local tier (completion = absorb completion) and drained to the
 /// PFS in the background — immediately (write-through) or on `flush()`
@@ -94,6 +101,7 @@ class FileSystem {
                   int stripe_count = 0);
   /// Writes `bytes` at `offset` through the configured tiers; returns the
   /// virtual completion time (>= start_s). Zero-byte writes are free.
+  /// Throws support::Error unless `offset + bytes < 2^53`.
   double write(FileHandle handle, double offset, double bytes,
                double start_s);
   /// Closes the file (one metadata op); returns the completion time.
@@ -165,19 +173,20 @@ class FileSystem {
   };
 
   /// Charges `bytes` at `offset` through the striped OST cursors; returns
-  /// completion. Appends one kWrite record per touched OST.
+  /// completion. Appends one kWrite record per touched OST, in first-touch
+  /// order. O(stripe_count).
   double pfs_write(int file_id, int rank, double offset, double bytes,
                    double start_s);
   /// One serialized metadata-server operation.
   double metadata_op(AccessRecord::Op op, int rank, int file_id,
                      double start_s);
   /// Credits a drained extent to its OSTs (ledger only, no cursor
-  /// charge — the drain pipe already priced the transfer).
+  /// charge — the drain pipe already priced the transfer). O(stripe_count).
   void account_landing(int file_id, double offset, double bytes);
   /// Retires `node`'s pending drains completed by `now_s`.
   void retire(int node, double now_s);
-  /// Moves `node`'s write-back backlog onto the drain pipe.
-  void schedule_backlog(BurstBuffer& bb, int node, double start_s);
+  /// Moves a node's write-back backlog onto its drain pipe.
+  void schedule_backlog(BurstBuffer& bb, double start_s);
   [[nodiscard]] int ost_of(const File& file, std::uint64_t chunk) const;
   [[nodiscard]] int node_of_rank(int rank) const {
     return rank / config_.ranks_per_node;
@@ -196,8 +205,6 @@ class FileSystem {
   double bytes_landed_ = 0.0;
   std::vector<AccessRecord> records_;
   std::uint64_t dropped_ = 0;
-  /// Scratch for per-OST aggregation inside one pfs_write call.
-  std::vector<int> touched_;
 };
 
 }  // namespace exa::io

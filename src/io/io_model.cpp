@@ -37,6 +37,14 @@ void IoConfig::validate() const {
                   "IoConfig: stripe_count must not exceed ost_count");
   EXA_REQUIRE_MSG(pfs.stripe_size_bytes > 0.0,
                   "IoConfig: stripe_size_bytes must be > 0");
+  // FileSystem's closed-form striping is exact only on whole-byte chunk
+  // boundaries below 2^53, where every stripe multiple is a double.
+  EXA_REQUIRE_MSG(pfs.stripe_size_bytes == std::floor(pfs.stripe_size_bytes),
+                  "IoConfig: stripe_size_bytes must be a whole number of "
+                  "bytes (Lustre stripes are 64 KiB multiples), got " +
+                      std::to_string(pfs.stripe_size_bytes));
+  EXA_REQUIRE_MSG(pfs.stripe_size_bytes < 0x1p53,
+                  "IoConfig: stripe_size_bytes must be < 2^53 bytes");
   EXA_REQUIRE_MSG(valid_bandwidth(pfs.ost_bandwidth_bytes_per_s),
                   "IoConfig: ost_bandwidth_bytes_per_s must be > 0");
   EXA_REQUIRE_MSG(pfs.metadata_op_s >= 0.0 && !std::isnan(pfs.metadata_op_s),

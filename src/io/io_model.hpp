@@ -45,7 +45,7 @@ struct PfsConfig {
   double ost_bandwidth_bytes_per_s = std::numeric_limits<double>::infinity();
   /// OSTs one file stripes over (count, >= 1, <= ost_count).
   int stripe_count = 4;
-  /// Round-robin stripe chunk size (bytes, > 0).
+  /// Round-robin stripe chunk size (whole bytes, > 0, < 2^53).
   double stripe_size_bytes = 1.0 * 1024 * 1024;
   /// Metadata-server cost of one open or close, serialized through the
   /// single MDS (seconds, >= 0; 0 = free).

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "io/io_model.hpp"
 #include "support/assert.hpp"
@@ -104,6 +106,63 @@ TEST(FileSystem, RejectsBadHandlesAndArguments) {
   EXPECT_THROW((void)fs.open(-1, "g", 0.0), support::Error);
   fs.close(o.handle, 0.0);
   EXPECT_THROW(fs.write(o.handle, 0.0, 1.0, 0.0), support::Error);  // closed
+}
+
+TEST(FileSystem, RejectsBytePositionsFrom2To53) {
+  FileSystem fs(tiny_pfs());
+  const OpenResult o = fs.open(0, "f", 0.0);
+  EXPECT_THROW(fs.write(o.handle, 0x1p53, 1.0, 0.0), support::Error);
+  EXPECT_THROW(fs.write(o.handle, 0x1p52, 0x1p52, 0.0), support::Error);
+  EXPECT_THROW(fs.write(o.handle, 0.0, 1.0e16, 0.0), support::Error);
+  try {
+    fs.write(o.handle, 0x1p52, 0x1p52, 0.0);
+    FAIL() << "write past 2^53 accepted";
+  } catch (const support::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("split the file"), std::string::npos)
+        << e.what();
+  }
+  // The last whole byte below 2^53 is still writable.
+  EXPECT_NO_THROW(fs.write(o.handle, 0x1p53 - 2, 1.0, 0.0));
+  EXPECT_EQ(fs.bytes_landed(), 1.0);
+}
+
+/// Size-independence guard: 64 ranks each write 2^50 bytes (1 PiB, 2^30
+/// stripe chunks) through the lustre preset. Priced chunk by chunk this
+/// takes hours; in closed form it is O(stripe_count) per write, and the
+/// io_size_independence ctest runs it under a short TIMEOUT.
+TEST(FileSystem, PebibyteWritesCostStripeCountNotBytes) {
+  const IoConfig config = IoConfig::lustre();  // 64 OSTs, 4 x 1 MiB stripes
+  FileSystem fs(config);
+  constexpr int kRanks = 64;
+  constexpr double kBytes = 0x1p50;
+  std::vector<FileHandle> handles;
+  for (int rank = 0; rank < kRanks; ++rank) {
+    handles.push_back(fs.open(rank, "pb/r" + std::to_string(rank), 0.0).handle);
+  }
+  double end = 0.0;
+  for (const FileHandle h : handles) {
+    end = std::max(end, fs.write(h, 0.0, kBytes, 1.0));
+  }
+  // File r stripes over OSTs r..r+3 (mod 64): 2^48 bytes on each, so
+  // every OST carries four files' quarters. Integer sums below 2^53 are
+  // exact, so the ledgers are exact too.
+  for (int ost = 0; ost < config.pfs.ost_count; ++ost) {
+    EXPECT_EQ(fs.ost_bytes(ost), kBytes) << "ost " << ost;
+  }
+  EXPECT_EQ(fs.bytes_landed(), kRanks * kBytes);
+  EXPECT_EQ(fs.bytes_written(), kRanks * kBytes);
+  // Each write's DXT record per OST carries its exact quarter.
+  std::size_t writes = 0;
+  for (const AccessRecord& rec : fs.records()) {
+    if (rec.op != AccessRecord::Op::kWrite) continue;
+    ++writes;
+    EXPECT_EQ(rec.bytes, kBytes / 4);
+  }
+  EXPECT_EQ(writes, std::size_t{kRanks} * 4);
+  // Every OST serves its 2^50 bytes at 5 GB/s from t = 1 s, to within
+  // summation rounding.
+  const double busy = kBytes / config.pfs.ost_bandwidth_bytes_per_s;
+  EXPECT_NEAR(end, 1.0 + busy, 1e-6 * busy);
 }
 
 IoConfig tiny_bb(BurstBufferPolicy policy) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "io/file_system.hpp"
 #include "support/assert.hpp"
@@ -64,6 +65,33 @@ TEST(IoConfigValidation, RejectsNonPositiveStripeSizeAndBandwidth) {
   EXPECT_THROW(config.validate(), support::Error);
   config.pfs.ost_bandwidth_bytes_per_s = -1.0;
   EXPECT_THROW(config.validate(), support::Error);
+}
+
+TEST(IoConfigValidation, RejectsFractionalOrHugeStripeSize) {
+  IoConfig config;
+  config.pfs.stripe_size_bytes = 4096.5;
+  EXPECT_THROW(config.validate(), support::Error);
+  config.pfs.stripe_size_bytes = 0.25;
+  EXPECT_THROW(config.validate(), support::Error);
+  config.pfs.stripe_size_bytes = 0x1p53;
+  EXPECT_THROW(config.validate(), support::Error);
+  config.pfs.stripe_size_bytes = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(config.validate(), support::Error);
+  // Whole bytes below 2^53 are fine, powers of two or not.
+  for (const double stripe : {1.0, 3.0, 65536.0 * 3, 0x1p53 - 1}) {
+    config.pfs.stripe_size_bytes = stripe;
+    EXPECT_NO_THROW(config.validate()) << stripe;
+  }
+  // The error says what to fix.
+  config.pfs.stripe_size_bytes = 1000.5;
+  try {
+    config.validate();
+    FAIL() << "fractional stripe accepted";
+  } catch (const support::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("whole number of bytes"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(IoConfigValidation, RejectsNegativeMetadataCost) {
