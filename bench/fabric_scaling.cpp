@@ -8,7 +8,7 @@
 /// congestion-on efficiency falls strictly below the analytic curve at
 /// >= 1024 nodes — that separation is the golden-gated artifact.
 ///
-/// With --trace=<file>, a small RankSim schedule (nonblocking ring
+/// With --trace=<file>, a small EventEngine schedule (nonblocking ring
 /// exchange overlapped with compute, then a collective) additionally
 /// exports per-rank Chrome trace lanes ("fabric/rank<i>").
 
@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "net/engine.hpp"
 #include "net/fabric.hpp"
-#include "net/rank_sim.hpp"
 #include "sim/exec_model.hpp"
 #include "support/assert.hpp"
 #include "support/table.hpp"
@@ -128,21 +128,22 @@ int main(int argc, char** argv) {
   lane_cfg.faults.straggler_fraction = 0.2;
   lane_cfg.faults.straggler_slowdown = 1.5;
   net::Fabric lane_fabric(frontier, rpn, lane_cfg);
-  net::RankSim sim(lane_fabric, 8);
+  std::vector<std::vector<net::RankOp>> lane_programs(8);
   for (int step = 0; step < 3; ++step) {
-    std::vector<net::Request> recvs;
-    recvs.reserve(8);
+    const double allreduce_s = lane_fabric.allreduce(8.0 * 1024, 8);
     for (int r = 0; r < 8; ++r) {
-      sim.isend(r, (r + 1) % 8, 2.0 * 1024 * 1024);
-      recvs.push_back(sim.irecv((r + 1) % 8, r));
+      auto& program = lane_programs[static_cast<std::size_t>(r)];
+      program.push_back(net::RankOp::send((r + 1) % 8, 2.0 * 1024 * 1024));
+      program.push_back(net::RankOp::compute(compute_s));
+      program.push_back(net::RankOp::recv((r + 7) % 8));
+      program.push_back(net::RankOp::collective(allreduce_s));
     }
-    for (int r = 0; r < 8; ++r) sim.compute(r, compute_s);
-    for (int r = 0; r < 8; ++r) sim.wait((r + 1) % 8, recvs[r]);
-    sim.allreduce(8.0 * 1024);
   }
-  std::printf("RankSim 8-rank overlapped schedule makespan: %s (%zu messages)\n\n",
-              support::format_time(sim.makespan(), 3).c_str(),
-              sim.messages().size());
+  net::EventEngine lane_engine(lane_fabric, std::move(lane_programs));
+  const net::EngineResult lanes = lane_engine.run_serial();
+  std::printf("EventEngine 8-rank overlapped schedule makespan: %s (%zu messages)\n\n",
+              support::format_time(lanes.makespan_s, 3).c_str(),
+              lanes.messages.size());
 
   // Golden gate: the congested-vs-analytic separation at scale is the
   // subsystem's headline artifact; the absolute step times catch drift in
@@ -155,6 +156,6 @@ int main(int argc, char** argv) {
                  compute_s + comm_step(quiet, 4096 * rpn), 0.01);
   session.metric("fabric.step_congested_4096_s",
                  compute_s + comm_step(congested, 4096 * rpn), 0.01);
-  session.metric("fabric.ranksim_makespan_s", sim.makespan(), 0.01);
+  session.metric("fabric.ranksim_makespan_s", lanes.makespan_s, 0.01);
   return 0;
 }

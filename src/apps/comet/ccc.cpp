@@ -6,7 +6,7 @@
 
 #include "mathlib/dense.hpp"
 #include "mathlib/device_blas.hpp"
-#include "net/rank_sim.hpp"
+#include "net/engine.hpp"
 #include "sim/exec_model.hpp"
 #include "support/assert.hpp"
 
@@ -209,19 +209,18 @@ CometScaleResult scale_run(const arch::Machine& machine, int nodes,
   const double gemm_s = sim::kernel_timing(gpu, p, launch).total_s;
 
   // Ring exchange of the next vector block overlaps the GEMM ("near-
-  // perfect weak scaling": compute dominates). Posted as a real
-  // nonblocking schedule: the neighbor's block is in flight on the fabric
-  // while the GEMM runs, and wait() pays only what the GEMM did not hide.
+  // perfect weak scaling": compute dominates). Run as a real two-rank
+  // engine program: the neighbor's block is in flight on the fabric while
+  // the GEMM runs, and the recv pays only what the GEMM did not hide.
   double step_s = gemm_s;
   if (nodes > 1) {
     net::Fabric fabric(machine, machine.node.gpus_per_node, fabric_config);
-    net::RankSim sim(fabric, 2);
     const double block_bytes =
         static_cast<double>(vectors_per_device) * samples / 8.0;
-    sim.isend(0, 1, block_bytes);
-    const net::Request recv = sim.irecv(1, 0);
-    sim.compute(1, gemm_s);
-    step_s = sim.wait(1, recv);
+    net::EventEngine engine(
+        fabric, {{net::RankOp::send(1, block_bytes)},
+                 {net::RankOp::compute(gemm_s), net::RankOp::recv(0)}});
+    step_s = engine.run_serial().clocks[1];
   }
 
   CometScaleResult r;

@@ -100,8 +100,8 @@ struct CometScaleResult {
 /// `vectors_per_device` vectors of `samples` samples: a round-robin block
 /// schedule where each step pairs two vector blocks with one bit-GEMM on
 /// the matrix cores, overlapped with the ring exchange of the next block.
-/// The exchange is posted as a nonblocking schedule on the fabric (isend
-/// of the next block, GEMM, wait), so `fabric` knobs (congestion, faults)
+/// The exchange runs as a two-rank `net::EventEngine` program (send of the
+/// next block; GEMM, then recv), so `fabric` knobs (congestion, faults)
 /// directly erode the "near-perfect" overlap; the default analytic fabric
 /// reproduces the calibrated CommModel costs exactly.
 [[nodiscard]] CometScaleResult scale_run(const arch::Machine& machine,

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <map>
-#include <memory>
 #include <sstream>
 
+#include "support/assert.hpp"
+#include "trace/json.hpp"
+
 namespace exa::check::lint {
+
+using trace::json_escape;
 
 namespace {
 
@@ -19,29 +21,6 @@ namespace {
     --e;
   }
   return std::string(s.substr(b, e - b));
-}
-
-[[nodiscard]] std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 [[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix) {
@@ -189,166 +168,28 @@ std::string to_sarif(const Report& report) {
   return out;
 }
 
-// --- minimal JSON parser (for the SARIF shape validator) -----------------
+// --- SARIF shape validator -------------------------------------------------
 
 namespace {
 
-struct JsonValue;
-using JsonObject = std::map<std::string, std::shared_ptr<JsonValue>>;
-using JsonArray = std::vector<std::shared_ptr<JsonValue>>;
+using trace::JsonValue;
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  JsonArray array;
-  JsonObject object;
-};
+/// Member `key` of `v` when `v` is an object holding it, else nullptr.
+[[nodiscard]] const JsonValue* get(const JsonValue* v, const std::string& key) {
+  return v != nullptr ? v->find(key) : nullptr;
+}
 
-struct JsonParser {
-  std::string_view text;
-  std::size_t pos = 0;
-  bool ok = true;
+/// Non-empty string member `key` of `v`.
+[[nodiscard]] bool has_text(const JsonValue* v, const std::string& key) {
+  const JsonValue* s = get(v, key);
+  return s != nullptr && s->is_string() && !s->as_string().empty();
+}
 
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    ok = false;
-    return false;
-  }
-
-  std::shared_ptr<JsonValue> parse_value() {
-    skip_ws();
-    auto v = std::make_shared<JsonValue>();
-    if (!ok || pos >= text.size()) {
-      ok = false;
-      return v;
-    }
-    const char c = text[pos];
-    if (c == '{') {
-      v->kind = JsonValue::Kind::kObject;
-      ++pos;
-      skip_ws();
-      if (pos < text.size() && text[pos] == '}') {
-        ++pos;
-        return v;
-      }
-      while (ok) {
-        skip_ws();
-        const std::string key = parse_string_body();
-        if (!ok || !consume(':')) break;
-        v->object[key] = parse_value();
-        skip_ws();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        consume('}');
-        break;
-      }
-    } else if (c == '[') {
-      v->kind = JsonValue::Kind::kArray;
-      ++pos;
-      skip_ws();
-      if (pos < text.size() && text[pos] == ']') {
-        ++pos;
-        return v;
-      }
-      while (ok) {
-        v->array.push_back(parse_value());
-        skip_ws();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        consume(']');
-        break;
-      }
-    } else if (c == '"') {
-      v->kind = JsonValue::Kind::kString;
-      v->string = parse_string_body();
-    } else if (c == 't' || c == 'f') {
-      v->kind = JsonValue::Kind::kBool;
-      const std::string_view word = c == 't' ? "true" : "false";
-      if (text.substr(pos, word.size()) == word) {
-        v->boolean = c == 't';
-        pos += word.size();
-      } else {
-        ok = false;
-      }
-    } else if (c == 'n') {
-      if (text.substr(pos, 4) == "null") {
-        pos += 4;
-      } else {
-        ok = false;
-      }
-    } else {
-      v->kind = JsonValue::Kind::kNumber;
-      std::size_t end = pos;
-      while (end < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[end])) != 0 ||
-              text[end] == '-' || text[end] == '+' || text[end] == '.' ||
-              text[end] == 'e' || text[end] == 'E')) {
-        ++end;
-      }
-      if (end == pos) {
-        ok = false;
-      } else {
-        v->number = std::stod(std::string(text.substr(pos, end - pos)));
-        pos = end;
-      }
-    }
-    return v;
-  }
-
-  std::string parse_string_body() {
-    skip_ws();
-    std::string out;
-    if (pos >= text.size() || text[pos] != '"') {
-      ok = false;
-      return out;
-    }
-    ++pos;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) {
-        const char e = text[pos + 1];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': out += '?'; pos += 4; break;  // shape check only
-          default: out += e;
-        }
-        pos += 2;
-      } else {
-        out += text[pos++];
-      }
-    }
-    if (pos >= text.size()) {
-      ok = false;
-    } else {
-      ++pos;
-    }
-    return out;
-  }
-};
-
-[[nodiscard]] const JsonValue* get(const JsonValue& v, const std::string& k) {
-  if (v.kind != JsonValue::Kind::kObject) return nullptr;
-  const auto it = v.object.find(k);
-  return it == v.object.end() ? nullptr : it->second.get();
+/// Non-empty array member `key` of `v`, else nullptr.
+[[nodiscard]] const JsonValue::Array* get_array(const JsonValue* v,
+                                                const std::string& key) {
+  const JsonValue* a = get(v, key);
+  return a != nullptr && a->is_array() ? &a->as_array() : nullptr;
 }
 
 bool fail(std::string* why, const std::string& what) {
@@ -359,65 +200,48 @@ bool fail(std::string* why, const std::string& what) {
 }  // namespace
 
 bool sarif_has_minimal_shape(std::string_view sarif_text, std::string* why) {
-  JsonParser parser{sarif_text};
-  const auto root = parser.parse_value();
-  parser.skip_ws();
-  if (!parser.ok || parser.pos != parser.text.size()) {
+  JsonValue root;
+  try {
+    root = trace::json_parse(sarif_text);
+  } catch (const support::Error&) {
     return fail(why, "not well-formed JSON");
   }
-  const JsonValue* version = get(*root, "version");
-  if (version == nullptr || version->string != "2.1.0") {
+  const JsonValue* version = get(&root, "version");
+  if (version == nullptr || !version->is_string() ||
+      version->as_string() != "2.1.0") {
     return fail(why, "missing \"version\": \"2.1.0\"");
   }
-  const JsonValue* runs = get(*root, "runs");
-  if (runs == nullptr || runs->kind != JsonValue::Kind::kArray ||
-      runs->array.empty()) {
+  const JsonValue::Array* runs = get_array(&root, "runs");
+  if (runs == nullptr || runs->empty()) {
     return fail(why, "missing non-empty \"runs\" array");
   }
-  for (const auto& run : runs->array) {
-    const JsonValue* tool = get(*run, "tool");
-    const JsonValue* driver = tool != nullptr ? get(*tool, "driver") : nullptr;
-    const JsonValue* name = driver != nullptr ? get(*driver, "name") : nullptr;
-    if (name == nullptr || name->string.empty()) {
+  for (const JsonValue& run : *runs) {
+    if (!has_text(get(get(&run, "tool"), "driver"), "name")) {
       return fail(why, "run missing tool.driver.name");
     }
-    const JsonValue* results = get(*run, "results");
-    if (results == nullptr || results->kind != JsonValue::Kind::kArray) {
+    const JsonValue::Array* results = get_array(&run, "results");
+    if (results == nullptr) {
       return fail(why, "run missing \"results\" array");
     }
-    for (const auto& result : results->array) {
-      const JsonValue* rule_id = get(*result, "ruleId");
-      if (rule_id == nullptr || rule_id->string.empty()) {
+    for (const JsonValue& result : *results) {
+      if (!has_text(&result, "ruleId")) {
         return fail(why, "result missing ruleId");
       }
-      const JsonValue* message = get(*result, "message");
-      const JsonValue* msg_text =
-          message != nullptr ? get(*message, "text") : nullptr;
-      if (msg_text == nullptr) {
+      if (get(get(&result, "message"), "text") == nullptr) {
         return fail(why, "result missing message.text");
       }
-      const JsonValue* locations = get(*result, "locations");
-      if (locations == nullptr ||
-          locations->kind != JsonValue::Kind::kArray ||
-          locations->array.empty()) {
+      const JsonValue::Array* locations = get_array(&result, "locations");
+      if (locations == nullptr || locations->empty()) {
         return fail(why, "result missing locations");
       }
-      const JsonValue* phys =
-          get(*locations->array.front(), "physicalLocation");
-      const JsonValue* artifact =
-          phys != nullptr ? get(*phys, "artifactLocation") : nullptr;
-      const JsonValue* uri =
-          artifact != nullptr ? get(*artifact, "uri") : nullptr;
-      if (uri == nullptr || uri->string.empty()) {
+      const JsonValue* phys = get(&locations->front(), "physicalLocation");
+      if (!has_text(get(phys, "artifactLocation"), "uri")) {
         return fail(why, "result missing physicalLocation.artifactLocation"
                          ".uri");
       }
-      const JsonValue* region = phys != nullptr ? get(*phys, "region")
-                                                : nullptr;
-      const JsonValue* start =
-          region != nullptr ? get(*region, "startLine") : nullptr;
-      if (start == nullptr || start->kind != JsonValue::Kind::kNumber ||
-          start->number < 1.0) {
+      const JsonValue* start = get(get(phys, "region"), "startLine");
+      if (start == nullptr || !start->is_number() ||
+          start->as_number() < 1.0) {
         return fail(why, "result missing region.startLine >= 1");
       }
     }

@@ -61,17 +61,19 @@ CheckpointStats checkpoint(FileSystem& fs, int ranks, double bytes_per_rank,
                            [start_s](int) { return start_s; });
 }
 
-CheckpointStats checkpoint(FileSystem& fs, net::RankSim& sim,
+CheckpointStats checkpoint(FileSystem& fs, std::vector<double>& clocks,
                            double bytes_per_rank,
                            const std::string& path_prefix) {
+  EXA_REQUIRE_MSG(!clocks.empty(), "checkpoint: needs at least one clock");
   EXA_REQUIRE_MSG(bytes_per_rank >= 0.0,
                   "checkpoint: bytes_per_rank must be >= 0");
   std::vector<double> done;
   const CheckpointStats stats = phased_checkpoint(
-      fs, sim.ranks(), bytes_per_rank, path_prefix,
-      [&sim](int rank) { return sim.now(rank); }, &done);
-  for (int rank = 0; rank < sim.ranks(); ++rank) {
-    sim.advance_to(rank, done[static_cast<std::size_t>(rank)]);
+      fs, static_cast<int>(clocks.size()), bytes_per_rank, path_prefix,
+      [&clocks](int rank) { return clocks[static_cast<std::size_t>(rank)]; },
+      &done);
+  for (std::size_t rank = 0; rank < clocks.size(); ++rank) {
+    clocks[rank] = std::max(clocks[rank], done[rank]);
   }
   return stats;
 }

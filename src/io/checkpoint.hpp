@@ -4,19 +4,19 @@
 /// pattern every app in the paper shares — N ranks each open a
 /// file-per-process, stream their state, and close.
 ///
-/// Two forms: a free-standing one over explicit start times (what the
-/// analytic app drivers use to price Pele plotfiles, GESTS field dumps
-/// and LAMMPS restarts), and one coupled to `net::RankSim` — each rank's
-/// write begins at its own virtual clock and the clock is advanced to the
-/// I/O completion, so checkpoints compose with overlapped communication
-/// schedules on the same per-rank timelines.
+/// Two forms: a free-standing one over one start time (what the analytic
+/// app drivers use to price Pele plotfiles, GESTS field dumps and LAMMPS
+/// restarts), and one coupled to per-rank clocks — each rank's write
+/// begins at its own virtual clock and the clock is advanced to the I/O
+/// completion, so checkpoints compose with the per-rank timelines of a
+/// `net::EventEngine` run (`EngineResult::clocks`).
 ///
 /// Units: all times seconds, all sizes bytes.
 
 #include <string>
+#include <vector>
 
 #include "io/file_system.hpp"
-#include "net/rank_sim.hpp"
 
 namespace exa::io {
 
@@ -38,10 +38,10 @@ CheckpointStats checkpoint(FileSystem& fs, int ranks, double bytes_per_rank,
                            double start_s = 0.0,
                            const std::string& path_prefix = "ckpt");
 
-/// RankSim-coupled form: rank r's open/write/close starts at
-/// `sim.now(r)` and the rank's virtual clock is advanced to its close
-/// completion.
-CheckpointStats checkpoint(FileSystem& fs, net::RankSim& sim,
+/// Clock-coupled form: one rank per entry of `clocks`; rank r's
+/// open/write/close starts at `clocks[r]` (seconds), and `clocks[r]` is
+/// advanced to its close completion (never rewound).
+CheckpointStats checkpoint(FileSystem& fs, std::vector<double>& clocks,
                            double bytes_per_rank,
                            const std::string& path_prefix = "ckpt");
 

@@ -30,10 +30,10 @@
 /// (write-back); bytes that exceed the remaining capacity spill
 /// synchronously to the PFS.
 ///
-/// Like `RankSim`, schedules are issued by one driver thread; all methods
-/// mutate cursor state and must be externally serialized. Every
-/// operation appends a DXT-style `AccessRecord` and, when the tracer is
-/// enabled, a Chrome span on lanes `io/ost<k>`, `io/bb<n>`, `io/mds`.
+/// Schedules are issued by one driver thread; all methods mutate cursor
+/// state and must be externally serialized. Every operation appends a
+/// DXT-style `AccessRecord` and, when the tracer is enabled, a Chrome
+/// span on lanes `io/ost<k>`, `io/bb<n>`, `io/mds`.
 ///
 /// Units: all times seconds, all sizes bytes.
 

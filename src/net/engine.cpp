@@ -2,11 +2,24 @@
 
 #include <algorithm>
 #include <queue>
+#include <string>
 #include <utility>
 
 #include "support/assert.hpp"
+#include "support/units.hpp"
+#include "trace/tracer.hpp"
 
 namespace exa::net {
+
+namespace {
+
+/// Bits per field of `message_key`; the constructor keeps ranks and tags
+/// below 2^kKeyBits.
+constexpr int kKeyBits = 21;
+
+std::string lane(int rank) { return "fabric/rank" + std::to_string(rank); }
+
+}  // namespace
 
 bool EngineResult::same_outcome(const EngineResult& other) const {
   if (clocks != other.clocks || events != other.events ||
@@ -45,14 +58,20 @@ EventEngine::EventEngine(Fabric& fabric,
   EXA_REQUIRE_MSG(
       static_cast<int>(programs_.size()) <= fabric_.total_ranks(),
       "more engine ranks than the fabric's machine hosts");
+  EXA_REQUIRE_MSG(programs_.size() < (std::size_t{1} << kKeyBits),
+                  "EventEngine supports fewer than 2^21 ranks");
   const int n = ranks();
   for (const std::vector<RankOp>& program : programs_) {
     for (const RankOp& op : program) {
-      if (op.kind == RankOp::Kind::kCompute) {
-        EXA_REQUIRE_MSG(op.value >= 0.0, "negative compute seconds");
+      if (op.kind == RankOp::Kind::kCompute ||
+          op.kind == RankOp::Kind::kCollective) {
+        EXA_REQUIRE_MSG(op.value >= 0.0,
+                        "negative compute or collective seconds");
       } else {
         EXA_REQUIRE_MSG(op.peer >= 0 && op.peer < n,
                         "send/recv peer outside the engine's rank range");
+        EXA_REQUIRE_MSG(op.tag >= 0 && op.tag < (1 << kKeyBits),
+                        "send/recv tag outside [0, 2^21)");
         EXA_REQUIRE_MSG(op.kind == RankOp::Kind::kRecv || op.value >= 0.0,
                         "negative send bytes");
       }
@@ -66,20 +85,20 @@ double EventEngine::lookahead_s() const {
 }
 
 std::uint64_t EventEngine::message_key(int src, int dst, int tag) {
-  // 21 bits each of src/dst plus the low tag bits: collisions would need
-  // > 2M ranks, which the EXA_REQUIRE in the constructor forbids anyway.
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 42) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst) &
-                                     0x1FFFFFu)
-          << 21) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)) &
-          0x1FFFFFu);
+  // kKeyBits each of src, dst and tag: the constructor keeps all three in
+  // [0, 2^kKeyBits), so distinct channels never share a key.
+  return (static_cast<std::uint64_t>(src) << (2 * kKeyBits)) |
+         (static_cast<std::uint64_t>(dst) << kKeyBits) |
+         static_cast<std::uint64_t>(tag);
 }
 
 void EventEngine::reset_run(EngineResult& result) {
   states_.assign(programs_.size(), RankState{});
   applied_.clear();
   fabric_.reset_transport();
+  trace_lanes_ = trace::Tracer::instance().enabled()
+                     ? std::min(fabric_.config().trace_rank_lanes, ranks())
+                     : 0;
   result = EngineResult{};
 }
 
@@ -110,7 +129,54 @@ int EventEngine::apply_send(const SendIntent& intent, EngineResult& result) {
   const int message = static_cast<int>(result.messages.size());
   result.messages.push_back(record);
   applied_[message_key(intent.src, intent.dst, intent.tag)].push_back(message);
+  if (traced(intent.src)) {
+    trace::Tracer::instance().complete(
+        "isend->r" + std::to_string(intent.dst) + " " +
+            support::format_bytes(static_cast<std::uint64_t>(intent.bytes)),
+        lane(intent.src), intent.post_s, tr.delivered_s - intent.post_s,
+        "net");
+  }
   return message;
+}
+
+void EventEngine::run_compute(RankState& state, int rank,
+                              double seconds) const {
+  const double scaled = seconds * fabric_.straggler_scale(rank);
+  if (traced(rank)) {
+    trace::Tracer::instance().complete("compute", lane(rank), state.clock,
+                                       scaled, "kernel");
+  }
+  state.clock += scaled;
+}
+
+void EventEngine::run_recv(RankState& state, int rank, int src, int tag,
+                           double delivered_s) const {
+  if (delivered_s > state.clock) {
+    if (traced(rank)) {
+      trace::Tracer::instance().complete("wait", lane(rank), state.clock,
+                                         delivered_s - state.clock, "net");
+    }
+    state.clock = delivered_s;
+  }
+  consume_recv(state, src, tag);
+}
+
+void EventEngine::resolve_collective() {
+  double start = states_.front().clock;
+  for (const RankState& st : states_) start = std::max(start, st.clock);
+  const double cost = programs_.front()[states_.front().pc].value;
+  for (std::size_t r = 0; r < states_.size(); ++r) {
+    RankState& st = states_[r];
+    EXA_REQUIRE_MSG(programs_[r][st.pc].value == cost,
+                    "ranks disagree on a collective's cost");
+    if (traced(static_cast<int>(r))) {
+      trace::Tracer::instance().complete(
+          "collective", lane(static_cast<int>(r)), start, cost, "net");
+    }
+    st.clock = start + cost;
+    ++st.pc;
+    ++st.events;
+  }
 }
 
 int EventEngine::match_recv(const RankState& state, int rank, int src,
@@ -137,13 +203,16 @@ EngineResult EventEngine::run_serial() {
 
   // Min-heap over (next event time, rank). Each rank owns at most one
   // entry; blocked receivers are parked per channel and re-pushed when the
-  // matching send is applied, so entries are never stale.
+  // matching send is applied, and ranks at a collective are counted and
+  // re-pushed when it resolves, so entries are never stale.
   using Key = std::pair<double, int>;
   std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap;
   std::unordered_map<std::uint64_t, int> parked;
+  int at_collective = 0;
 
   // Pushes `rank` keyed by its next op's event time, or parks it when the
-  // next op is a receive whose matching send has not been applied yet.
+  // next op is a collective or a receive whose matching send has not been
+  // applied yet.
   const auto schedule = [&](int rank) {
     RankState& st = states_[static_cast<std::size_t>(rank)];
     const std::vector<RankOp>& program =
@@ -151,6 +220,10 @@ EngineResult EventEngine::run_serial() {
     if (st.pc >= program.size()) return;
     const RankOp& op = program[st.pc];
     double key = st.clock;
+    if (op.kind == RankOp::Kind::kCollective) {
+      ++at_collective;
+      return;
+    }
     if (op.kind == RankOp::Kind::kRecv) {
       const int message = match_recv(st, rank, op.peer, op.tag);
       if (message < 0) {
@@ -165,14 +238,23 @@ EngineResult EventEngine::run_serial() {
 
   for (int r = 0; r < n; ++r) schedule(r);
 
-  while (!heap.empty()) {
+  while (true) {
+    if (heap.empty()) {
+      // The loop ran dry: every unfinished rank waits at a collective or
+      // on a receive. Only all ranks at the collective can make progress.
+      if (at_collective < n) break;
+      resolve_collective();
+      at_collective = 0;
+      for (int r = 0; r < n; ++r) schedule(r);
+      continue;
+    }
     const int rank = heap.top().second;
     heap.pop();
     RankState& st = states_[static_cast<std::size_t>(rank)];
     const RankOp& op = programs_[static_cast<std::size_t>(rank)][st.pc];
     switch (op.kind) {
       case RankOp::Kind::kCompute:
-        st.clock += op.value * fabric_.straggler_scale(rank);
+        run_compute(st, rank, op.value);
         break;
       case RankOp::Kind::kSend: {
         SendIntent intent;
@@ -198,12 +280,14 @@ EngineResult EventEngine::run_serial() {
       case RankOp::Kind::kRecv: {
         const int message = match_recv(st, rank, op.peer, op.tag);
         EXA_REQUIRE(message >= 0);  // scheduled => matched
-        st.clock = std::max(
-            st.clock,
-            result.messages[static_cast<std::size_t>(message)].delivered_s);
-        consume_recv(st, op.peer, op.tag);
+        run_recv(st, rank, op.peer, op.tag,
+                 result.messages[static_cast<std::size_t>(message)]
+                     .delivered_s);
         break;
       }
+      case RankOp::Kind::kCollective:
+        EXA_ASSERT(!"collectives are parked, never popped");
+        break;
     }
     ++st.pc;
     ++st.events;
@@ -215,7 +299,8 @@ EngineResult EventEngine::run_serial() {
         states_[static_cast<std::size_t>(r)].pc >=
             programs_[static_cast<std::size_t>(r)].size(),
         "engine deadlock: a rank is blocked on a receive whose matching "
-        "send is never posted");
+        "send is never posted, or on a collective another rank never "
+        "reaches");
   }
   finish_run(result);
   return result;
@@ -246,6 +331,7 @@ EngineResult EventEngine::run_parallel(support::ThreadPool* pool) {
     double window_start = 0.0;
     bool any_runnable = false;
     bool all_done = true;
+    std::size_t at_collective = 0;
     for (std::size_t r = 0; r < n; ++r) {
       RankState& st = states_[r];
       const std::vector<RankOp>& program = programs_[r];
@@ -260,14 +346,22 @@ EngineResult EventEngine::run_parallel(support::ThreadPool* pool) {
         key = std::max(
             key,
             result.messages[static_cast<std::size_t>(message)].delivered_s);
+      } else if (op.kind == RankOp::Kind::kCollective) {
+        ++at_collective;
+        continue;  // waits until every rank has arrived
       }
       window_start = any_runnable ? std::min(window_start, key) : key;
       any_runnable = true;
     }
     if (all_done) break;
-    EXA_REQUIRE_MSG(any_runnable,
-                    "engine deadlock: a rank is blocked on a receive whose "
-                    "matching send is never posted");
+    if (!any_runnable) {
+      EXA_REQUIRE_MSG(at_collective == n,
+                      "engine deadlock: a rank is blocked on a receive "
+                      "whose matching send is never posted, or on a "
+                      "collective another rank never reaches");
+      resolve_collective();
+      continue;
+    }
     const double horizon = window_start + delta;
 
     // --- window: every rank runs up to the horizon ----------------------
@@ -277,34 +371,33 @@ EngineResult EventEngine::run_parallel(support::ThreadPool* pool) {
           std::vector<SendIntent>& intents = chunk_intents[lo / grain];
           for (std::size_t r = lo; r < hi; ++r) {
             RankState& st = states_[r];
+            const int rank = static_cast<int>(r);
             const std::vector<RankOp>& program = programs_[r];
             while (st.pc < program.size() && st.clock < horizon) {
               const RankOp& op = program[st.pc];
               if (op.kind == RankOp::Kind::kCompute) {
-                st.clock +=
-                    op.value * fabric_.straggler_scale(static_cast<int>(r));
+                run_compute(st, rank, op.value);
               } else if (op.kind == RankOp::Kind::kSend) {
                 SendIntent intent;
                 intent.post_s = st.clock;
-                intent.src = static_cast<int>(r);
+                intent.src = rank;
                 intent.seq = st.seq++;
                 intent.dst = op.peer;
                 intent.tag = op.tag;
                 intent.bytes = op.value;
                 intents.push_back(intent);
                 st.clock += overhead;
-              } else {
+              } else if (op.kind == RankOp::Kind::kRecv) {
                 // Receives only consume messages applied at a previous
                 // barrier (`applied_` is frozen during the window), so the
                 // match is identical at any pool size.
-                const int message =
-                    match_recv(st, static_cast<int>(r), op.peer, op.tag);
+                const int message = match_recv(st, rank, op.peer, op.tag);
                 if (message < 0) break;  // blocked until the barrier
-                st.clock = std::max(
-                    st.clock, result
-                                  .messages[static_cast<std::size_t>(message)]
-                                  .delivered_s);
-                consume_recv(st, op.peer, op.tag);
+                run_recv(st, rank, op.peer, op.tag,
+                         result.messages[static_cast<std::size_t>(message)]
+                             .delivered_s);
+              } else {
+                break;  // collective: resolved at a barrier
               }
               ++st.pc;
               ++st.events;

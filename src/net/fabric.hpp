@@ -179,7 +179,7 @@ class FabricTopology {
 /// parallel across the global ThreadPool *internally* and reuse a
 /// per-fabric scratch pool, so calls on the same Fabric must be
 /// externally serialized — as must `transfer()`, which additionally
-/// mutates link cursors and the drop RNG (RankSim owns exactly that).
+/// mutates link cursors and the drop RNG (`EventEngine` owns exactly that).
 class Fabric {
  public:
   /// `ranks_per_node` simulated ranks share each node's injection
@@ -223,7 +223,7 @@ class Fabric {
   /// Barrier over `ranks` ranks (seconds).
   [[nodiscard]] double barrier(int ranks) const;
 
-  // --- message transport (RankSim substrate) ----------------------------
+  // --- message transport (EventEngine substrate) ------------------------
 
   /// Outcome of one message pushed through the fabric.
   struct Transfer {

@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "io/dxt.hpp"
 #include "io/file_system.hpp"
 #include "io/io_model.hpp"
-#include "net/fabric.hpp"
-#include "net/rank_sim.hpp"
 #include "support/assert.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/tracer.hpp"
@@ -55,32 +55,28 @@ TEST(Checkpoint, MoreRanksNeverFinishEarlier) {
   }
 }
 
-TEST(Checkpoint, RankSimCouplingAdvancesRankClocks) {
-  const arch::Machine frontier = arch::machines::frontier();
-  net::Fabric fabric(frontier, 8, {});
-  net::RankSim sim(fabric, 8);
-  // Stagger the ranks so checkpoint starts are unequal.
-  for (int r = 0; r < sim.ranks(); ++r) sim.compute(r, 0.01 * r);
+TEST(Checkpoint, ClockCouplingAdvancesRankClocks) {
+  // Staggered clocks, so checkpoint starts are unequal.
+  std::vector<double> clocks(8);
+  for (std::size_t r = 0; r < clocks.size(); ++r) clocks[r] = 0.01 * r;
   FileSystem fs(IoConfig::lustre());
-  const CheckpointStats stats = checkpoint(fs, sim, 8.0 * 1024 * 1024);
-  EXPECT_EQ(stats.ranks, sim.ranks());
-  EXPECT_DOUBLE_EQ(stats.begin_s, 0.0);  // rank 0 never computed
-  for (int r = 0; r < sim.ranks(); ++r) {
-    EXPECT_GT(sim.now(r), 0.01 * r);  // every clock moved past its start
-    EXPECT_LE(sim.now(r), stats.end_s);
+  const CheckpointStats stats = checkpoint(fs, clocks, 8.0 * 1024 * 1024);
+  EXPECT_EQ(stats.ranks, 8);
+  EXPECT_DOUBLE_EQ(stats.begin_s, 0.0);  // rank 0's clock
+  for (std::size_t r = 0; r < clocks.size(); ++r) {
+    EXPECT_GT(clocks[r], 0.01 * r);  // every clock moved past its start
+    EXPECT_LE(clocks[r], stats.end_s);
   }
-  EXPECT_DOUBLE_EQ(sim.makespan(), stats.end_s);
+  EXPECT_DOUBLE_EQ(*std::max_element(clocks.begin(), clocks.end()),
+                   stats.end_s);
 }
 
-TEST(Checkpoint, RankSimCouplingIsFreeOnQuietFilesystem) {
-  const arch::Machine frontier = arch::machines::frontier();
-  net::Fabric fabric(frontier, 8, {});
-  net::RankSim sim(fabric, 4);
-  for (int r = 0; r < sim.ranks(); ++r) sim.compute(r, 0.005 * (r + 1));
-  const double makespan_before = sim.makespan();
+TEST(Checkpoint, ClockCouplingIsFreeOnQuietFilesystem) {
+  std::vector<double> clocks = {0.005, 0.010, 0.015, 0.020};
+  const std::vector<double> before = clocks;
   FileSystem fs;  // quiet
-  checkpoint(fs, sim, 1.0e9);
-  EXPECT_EQ(sim.makespan(), makespan_before);
+  checkpoint(fs, clocks, 1.0e9);
+  EXPECT_EQ(clocks, before);
 }
 
 TEST(Dxt, JsonlRoundTripsAccessRecords) {

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "arch/machine.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "support/units.hpp"
+#include "trace/tracer.hpp"
 
 namespace exa::net {
 namespace {
@@ -54,6 +59,16 @@ void expect_same(const EngineResult& serial, const EngineResult& parallel) {
       << " parallel=" << parallel.clock_sum()
       << " events serial=" << serial.events
       << " parallel=" << parallel.events;
+}
+
+/// Runs `programs` through both engines, checks they agree bitwise, and
+/// returns the serial outcome.
+EngineResult run_both(Fabric& fabric,
+                      std::vector<std::vector<RankOp>> programs) {
+  EventEngine engine(fabric, std::move(programs));
+  const EngineResult serial = engine.run_serial();
+  expect_same(serial, engine.run_parallel());
+  return serial;
 }
 
 TEST(EventEngine, ParallelMatchesSerialAnalytic) {
@@ -167,6 +182,185 @@ TEST(EventEngine, SelfChannelWorks) {
   const EngineResult parallel = engine.run_parallel();
   expect_same(serial, parallel);
   EXPECT_EQ(serial.messages.size(), 1u);
+}
+
+TEST(EventEngine, RejectsTagsOutsideTheChannelKeyRange) {
+  Fabric fabric = engine_fabric(false, false);
+  // Tags 2^21 and 0 on one (src, dst) pair would share a channel key, so
+  // recv(0, tag=0) would consume the 2^21 message.
+  std::vector<std::vector<RankOp>> programs(2);
+  programs[0] = {RankOp::send(1, 64.0, 1 << 21), RankOp::send(1, 64.0, 0)};
+  programs[1] = {RankOp::recv(0, 0), RankOp::recv(0, 1 << 21)};
+  EXPECT_THROW(EventEngine(fabric, programs), support::Error);
+  // Negative tags would alias the top of the range the same way.
+  programs[0][0].tag = -1;
+  programs[1][1].tag = -1;
+  EXPECT_THROW(EventEngine(fabric, programs), support::Error);
+  // The largest legal tag keeps its own channel.
+  programs[0][0].tag = (1 << 21) - 1;
+  programs[1][1].tag = (1 << 21) - 1;
+  const EngineResult r = run_both(fabric, programs);
+  ASSERT_EQ(r.messages.size(), 2u);
+  EXPECT_EQ(r.clocks[1], std::max(r.messages[0].delivered_s,
+                                  r.messages[1].delivered_s));
+}
+
+// --- overlap: per-rank clocks over one fabric ------------------------------
+
+TEST(EventEngine, ComputeHidesInFlightMessages) {
+  Fabric fabric = engine_fabric(false, false);
+  const double msg_cost = fabric.analytic().p2p(1e6);
+  const double overhead = fabric.machine().network.per_message_overhead_s;
+  std::vector<std::vector<RankOp>> programs(16);
+  programs[0] = {RankOp::send(15, 1e6)};
+  // The receiver computes longer than the transfer: the recv is free.
+  programs[15] = {RankOp::compute(msg_cost * 3.0), RankOp::recv(0)};
+  const EngineResult r = run_both(fabric, std::move(programs));
+  EXPECT_DOUBLE_EQ(r.clocks[15], msg_cost * 3.0);
+  // The sender only paid the software overhead.
+  EXPECT_DOUBLE_EQ(r.clocks[0], overhead);
+}
+
+TEST(EventEngine, WaitPaysUnhiddenTransferTime) {
+  Fabric fabric = engine_fabric(false, false);
+  const double msg_cost = fabric.analytic().p2p(4e6);
+  const EngineResult r =
+      run_both(fabric, {{RankOp::send(1, 4e6)}, {RankOp::recv(0)}});
+  EXPECT_NEAR(r.clocks[1], msg_cost, msg_cost * 1e-9);  // nothing hidden
+}
+
+TEST(EventEngine, StragglersSlowComputeNotWires) {
+  FabricConfig config;
+  config.faults.straggler_fraction = 1.0;  // everyone straggles
+  config.faults.straggler_slowdown = 2.5;
+  Fabric slow(arch::machines::frontier(), 8, config);
+  const std::vector<std::vector<RankOp>> programs = {
+      {RankOp::compute(1.0)}, {RankOp::send(2, 1e6)}, {RankOp::recv(1)}};
+  const EngineResult r = run_both(slow, programs);
+  EXPECT_DOUBLE_EQ(r.clocks[0], 2.5);
+  // The same message on a fabric whose stragglers run at full speed lands
+  // at the same instant.
+  config.faults.straggler_slowdown = 1.0;
+  Fabric healthy(arch::machines::frontier(), 8, config);
+  const EngineResult h = run_both(healthy, programs);
+  EXPECT_EQ(h.clocks[0], 1.0);
+  EXPECT_EQ(r.messages[0].delivered_s, h.messages[0].delivered_s);
+}
+
+TEST(EventEngine, MessageLogRecordsDeliveries) {
+  Fabric fabric = engine_fabric(false, false);
+  std::vector<std::vector<RankOp>> programs(4);
+  programs[0] = {RankOp::send(1, 128.0, /*tag=*/7)};
+  programs[1] = {RankOp::recv(0, /*tag=*/7)};
+  programs[2] = {RankOp::send(3, 256.0)};
+  programs[3] = {RankOp::recv(2)};
+  const EngineResult r = run_both(fabric, std::move(programs));
+  ASSERT_EQ(r.messages.size(), 2u);
+  EXPECT_EQ(r.messages[0].tag, 7);
+  EXPECT_EQ(r.messages[1].bytes, 256.0);
+  EXPECT_GT(r.messages[0].delivered_s, 0.0);
+  EXPECT_EQ(r.clocks[1], r.messages[0].delivered_s);
+}
+
+// --- collectives ------------------------------------------------------------
+
+TEST(EventEngine, CollectivesAlignAllClocks) {
+  Fabric fabric = engine_fabric(false, false);
+  const double cost = fabric.allreduce(4096.0, 8);
+  EXPECT_GT(cost, 0.0);
+  std::vector<std::vector<RankOp>> programs(8, {RankOp::collective(cost)});
+  programs[3].insert(programs[3].begin(), RankOp::compute(1.0e-3));
+  const EngineResult r = run_both(fabric, std::move(programs));
+  for (const double clock : r.clocks) EXPECT_EQ(clock, 1.0e-3 + cost);
+  EXPECT_EQ(r.events, 9u);
+}
+
+TEST(EventEngine, CollectivesMatchSerialAtAnyPoolSize) {
+  Fabric fabric = engine_fabric(true, true);
+  // The mixed ring workload with an allreduce closing every round
+  // (compute, send, recv), under congestion and faults.
+  const int ranks = 96;
+  const double cost = fabric.allreduce(8192.0, ranks);
+  std::vector<std::vector<RankOp>> programs = ring_programs(ranks, 6, 0xE7);
+  for (std::vector<RankOp>& program : programs) {
+    std::vector<RankOp> rounds;
+    for (std::size_t i = 0; i < program.size(); ++i) {
+      rounds.push_back(program[i]);
+      if (i % 3 == 2) rounds.push_back(RankOp::collective(cost));
+    }
+    program = std::move(rounds);
+  }
+  EventEngine engine(fabric, std::move(programs));
+  const EngineResult serial = engine.run_serial();
+  EXPECT_GT(serial.total_retries(), 0);
+  EXPECT_EQ(serial.events, 96u * 6u * 4u);
+  for (const double clock : serial.clocks) {
+    EXPECT_EQ(clock, serial.makespan_s);  // all leave the last collective
+  }
+  for (const std::size_t threads : {1u, 4u, 16u}) {
+    support::ThreadPool pool(threads);
+    expect_same(serial, engine.run_parallel(&pool));
+  }
+}
+
+TEST(EventEngine, RankFinishingBeforeACollectiveIsADeadlock) {
+  Fabric fabric = engine_fabric(false, false);
+  std::vector<std::vector<RankOp>> programs(3,
+                                            {RankOp::collective(1.0e-6)});
+  programs[2] = {RankOp::compute(1.0e-6)};  // never reaches it
+  EventEngine engine(fabric, std::move(programs));
+  EXPECT_THROW((void)engine.run_serial(), support::Error);
+  EXPECT_THROW((void)engine.run_parallel(), support::Error);
+}
+
+TEST(EventEngine, CollectiveCostsMustAgree) {
+  Fabric fabric = engine_fabric(false, false);
+  EventEngine engine(fabric, {{RankOp::collective(1.0e-6)},
+                              {RankOp::collective(2.0e-6)}});
+  EXPECT_THROW((void)engine.run_serial(), support::Error);
+  EXPECT_THROW((void)engine.run_parallel(), support::Error);
+}
+
+/// (track, label, start, duration) of every span a traced run records.
+std::vector<std::tuple<std::string, std::string, double, double>> lane_spans(
+    EventEngine& engine, bool parallel) {
+  auto& tracer = trace::Tracer::instance();
+  tracer.enable();
+  (void)(parallel ? engine.run_parallel() : engine.run_serial());
+  const std::vector<trace::Event> events = tracer.snapshot();
+  tracer.disable();
+  tracer.clear();
+  std::vector<std::tuple<std::string, std::string, double, double>> spans;
+  for (const trace::Event& e : events) {
+    spans.emplace_back(e.track, e.label, e.sim_s, e.value);
+  }
+  std::sort(spans.begin(), spans.end());
+  return spans;
+}
+
+TEST(EventEngine, TracedRunsEmitPerRankLanes) {
+  Fabric fabric = engine_fabric(false, false);
+  const double cost = fabric.allreduce(4096.0, 2);
+  EventEngine engine(
+      fabric, {{RankOp::send(1, 1e6), RankOp::collective(cost)},
+               {RankOp::compute(1.0e-9), RankOp::recv(0),
+                RankOp::collective(cost)}});
+  const auto spans = lane_spans(engine, /*parallel=*/false);
+  std::vector<std::pair<std::string, std::string>> names;
+  for (const auto& span : spans) {
+    names.emplace_back(std::get<0>(span), std::get<1>(span));
+  }
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"fabric/rank0", "collective"},
+      {"fabric/rank0", "isend->r1 " + support::format_bytes(1000000)},
+      {"fabric/rank1", "collective"},
+      {"fabric/rank1", "compute"},
+      {"fabric/rank1", "wait"}};
+  EXPECT_EQ(names, expected);
+  EXPECT_EQ(lane_spans(engine, /*parallel=*/true), spans);
+  // Untraced runs record nothing.
+  (void)engine.run_serial();
+  EXPECT_TRUE(trace::Tracer::instance().snapshot().empty());
 }
 
 TEST(EventEngine, LookaheadIsPositiveOnRealMachines) {

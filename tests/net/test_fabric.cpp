@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "net/rank_sim.hpp"
 #include "support/assert.hpp"
 
 namespace exa::net {
@@ -245,85 +244,6 @@ TEST(Fabric, RejectsInvalidArguments) {
   FabricConfig bad;
   bad.faults.drop_probability = 0.99;  // > 0.9 cap
   EXPECT_THROW(Fabric(arch::machines::frontier(), 8, bad), support::Error);
-}
-
-// --- RankSim --------------------------------------------------------------
-
-TEST(RankSim, ComputeHidesInFlightMessages) {
-  Fabric fabric = analytic_fabric();
-  RankSim sim(fabric, 16);
-  const double msg_cost = fabric.analytic().p2p(1e6);
-  const double overhead = fabric.machine().network.per_message_overhead_s;
-
-  const Request send = sim.isend(0, 15, 1e6);
-  const Request recv = sim.irecv(15, 0);
-  // Receiver computes longer than the transfer: the wait is free.
-  sim.compute(15, msg_cost * 3.0);
-  const double t15 = sim.wait(15, recv);
-  EXPECT_DOUBLE_EQ(t15, msg_cost * 3.0);
-
-  // Sender only paid the software overhead.
-  EXPECT_DOUBLE_EQ(sim.now(0), overhead);
-  sim.wait(0, send);
-  EXPECT_DOUBLE_EQ(sim.now(0), overhead);
-}
-
-TEST(RankSim, WaitPaysUnhiddenTransferTime) {
-  Fabric fabric = analytic_fabric();
-  RankSim sim(fabric, 2);
-  const double msg_cost = fabric.analytic().p2p(4e6);
-  sim.isend(0, 1, 4e6);
-  const Request recv = sim.irecv(1, 0);
-  const double t = sim.wait(1, recv);
-  EXPECT_NEAR(t, msg_cost, msg_cost * 1e-9);  // nothing hidden
-}
-
-TEST(RankSim, CollectivesAlignAllClocks) {
-  Fabric fabric = analytic_fabric();
-  RankSim sim(fabric, 8);
-  sim.compute(3, 1.0e-3);  // one slow rank
-  const double cost = sim.allreduce(4096.0);
-  EXPECT_GT(cost, 0.0);
-  for (int r = 0; r < 8; ++r) {
-    EXPECT_DOUBLE_EQ(sim.now(r), 1.0e-3 + cost);
-  }
-  expect_rel_near(fabric.analytic().allreduce(4096.0, 8), cost,
-                  "ranksim allreduce");
-}
-
-TEST(RankSim, StragglersSlowComputeNotWires) {
-  FabricConfig config;
-  config.faults.straggler_fraction = 1.0;  // everyone straggles
-  config.faults.straggler_slowdown = 2.5;
-  Fabric fabric(arch::machines::frontier(), 8, config);
-  RankSim sim(fabric, 4);
-  sim.compute(0, 1.0);
-  EXPECT_DOUBLE_EQ(sim.now(0), 2.5);
-}
-
-TEST(RankSim, MessageLogRecordsDeliveries) {
-  Fabric fabric = analytic_fabric();
-  RankSim sim(fabric, 4);
-  sim.isend(0, 1, 128.0, /*tag=*/7);
-  sim.isend(2, 3, 256.0);
-  ASSERT_EQ(sim.messages().size(), 2u);
-  EXPECT_EQ(sim.messages()[0].tag, 7);
-  EXPECT_EQ(sim.messages()[1].bytes, 256.0);
-  EXPECT_GT(sim.messages()[0].delivered_s, 0.0);
-}
-
-TEST(RankSim, RejectsWaitBeforeMatchingSend) {
-  Fabric fabric = analytic_fabric();
-  RankSim sim(fabric, 2);
-  const Request recv = sim.irecv(1, 0);
-  EXPECT_THROW((void)sim.wait(1, recv), support::Error);
-}
-
-TEST(RankSim, RejectsForeignWait) {
-  Fabric fabric = analytic_fabric();
-  RankSim sim(fabric, 2);
-  const Request send = sim.isend(0, 1, 8.0);
-  EXPECT_THROW((void)sim.wait(1, send), support::Error);
 }
 
 }  // namespace
