@@ -172,6 +172,23 @@ TEST(EventEngine, DeadlockIsDiagnosed) {
   EXPECT_THROW((void)engine.run_serial(), support::Error);
 }
 
+TEST(EventEngine, RejectsWaitBeforeMatchingSend) {
+  Fabric fabric = engine_fabric(false, false);
+  // Every matching send exists, but each sits behind a recv that waits for
+  // it: two ranks that both recv first, and one rank that recvs from itself
+  // before its own send.
+  std::vector<std::vector<RankOp>> cycle(2);
+  cycle[0] = {RankOp::recv(1), RankOp::send(1, 64.0)};
+  cycle[1] = {RankOp::recv(0), RankOp::send(0, 64.0)};
+  std::vector<std::vector<RankOp>> self(1);
+  self[0] = {RankOp::recv(0), RankOp::send(0, 64.0)};
+  for (auto* programs : {&cycle, &self}) {
+    EventEngine engine(fabric, *programs);
+    EXPECT_THROW((void)engine.run_serial(), support::Error);
+    EXPECT_THROW((void)engine.run_parallel(), support::Error);
+  }
+}
+
 TEST(EventEngine, SelfChannelWorks) {
   Fabric fabric = engine_fabric(true, false);
   std::vector<std::vector<RankOp>> programs(1);
