@@ -1,11 +1,11 @@
 /// Parallel conservative-lookahead engine throughput (events/sec) on a
 /// congested, faulty Frontier fat-tree, plus a 131072-rank tractability
-/// run. The golden gate covers *virtual-time structure* only — makespan,
-/// event/message/retry counts, clock checksum — never wall-clock, so the
-/// baseline holds on any host. Bit-identity between the serial reference
-/// loop and the parallel engine at pool sizes 1 and 4 is EXA_REQUIREd on
-/// every run; the >=2x events/sec speedup bar is asserted only when the
-/// host actually has >= 4 hardware threads (CI containers may have one).
+/// run. The golden file pins *virtual-time structure* only — makespan,
+/// event/message/retry counts, clock checksum — so the baseline holds on
+/// any host. Bit-identity between the serial reference loop and the
+/// parallel engine at pool sizes 1 and 4 is EXA_REQUIREd on every run; the
+/// >=2x events/sec wall-clock bar is asserted only when the host actually
+/// has >= 4 hardware threads (CI containers may have one).
 
 #include <chrono>
 #include <cstdio>
@@ -87,6 +87,10 @@ int main(int argc, char** argv) {
   const int ranks = 4096;
   const int rounds = 6;
   net::EventEngine engine(fabric, ring_programs(ranks, rounds, session.seed()));
+
+  // Untimed: the first run of an engine builds its send/recv pairing, a
+  // one-time cost neither timed engine should carry.
+  (void)engine.run_serial();
 
   const auto t_serial0 = Clock::now();
   const net::EngineResult serial = engine.run_serial();

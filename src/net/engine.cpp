@@ -1,6 +1,7 @@
 #include "net/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <queue>
 #include <string>
 #include <utility>
@@ -13,9 +14,11 @@ namespace exa::net {
 
 namespace {
 
-/// Bits per field of `message_key`; the constructor keeps ranks and tags
-/// below 2^kKeyBits.
+/// The constructor keeps ranks and tags below 2^kKeyBits.
 constexpr int kKeyBits = 21;
+
+/// Next-event time of a chunk with no runnable rank.
+constexpr double kNever = std::numeric_limits<double>::infinity();
 
 std::string lane(int rank) { return "fabric/rank" + std::to_string(rank); }
 
@@ -61,7 +64,13 @@ EventEngine::EventEngine(Fabric& fabric,
   EXA_REQUIRE_MSG(programs_.size() < (std::size_t{1} << kKeyBits),
                   "EventEngine supports fewer than 2^21 ranks");
   const int n = ranks();
+  send_base_.reserve(programs_.size() + 1);
+  recv_base_.reserve(programs_.size() + 1);
+  std::uint64_t sends = 0;
+  std::size_t recvs = 0;
   for (const std::vector<RankOp>& program : programs_) {
+    send_base_.push_back(static_cast<int>(sends));
+    recv_base_.push_back(recvs);
     for (const RankOp& op : program) {
       if (op.kind == RankOp::Kind::kCompute ||
           op.kind == RankOp::Kind::kCollective) {
@@ -72,11 +81,21 @@ EventEngine::EventEngine(Fabric& fabric,
                         "send/recv peer outside the engine's rank range");
         EXA_REQUIRE_MSG(op.tag >= 0 && op.tag < (1 << kKeyBits),
                         "send/recv tag outside [0, 2^21)");
-        EXA_REQUIRE_MSG(op.kind == RankOp::Kind::kRecv || op.value >= 0.0,
-                        "negative send bytes");
+        if (op.kind == RankOp::Kind::kSend) {
+          EXA_REQUIRE_MSG(op.value >= 0.0, "negative send bytes");
+          ++sends;
+        } else {
+          ++recvs;
+        }
       }
     }
+    // Send ids are ints; checked per rank so every base fits one.
+    EXA_REQUIRE_MSG(sends <= static_cast<std::uint64_t>(
+                                 std::numeric_limits<int>::max()),
+                    "EventEngine supports at most INT_MAX sends");
   }
+  send_base_.push_back(static_cast<int>(sends));
+  recv_base_.push_back(recvs);
 }
 
 double EventEngine::lookahead_s() const {
@@ -84,22 +103,87 @@ double EventEngine::lookahead_s() const {
   return net.latency_s + net.per_message_overhead_s;
 }
 
-std::uint64_t EventEngine::message_key(int src, int dst, int tag) {
-  // kKeyBits each of src, dst and tag: the constructor keeps all three in
-  // [0, 2^kKeyBits), so distinct channels never share a key.
-  return (static_cast<std::uint64_t>(src) << (2 * kKeyBits)) |
-         (static_cast<std::uint64_t>(dst) << kKeyBits) |
-         static_cast<std::uint64_t>(tag);
+void EventEngine::build_pairing() {
+  const std::size_t n = programs_.size();
+  // Every send, bucketed by destination in (src, program order) — a
+  // counting sort, so ids within a bucket ascend.
+  struct Endpoint {
+    int peer = 0;  ///< the other rank of the channel
+    int tag = 0;
+    int index = 0;  ///< send id, or recv index within its rank
+    bool operator<(const Endpoint& o) const {
+      if (peer != o.peer) return peer < o.peer;
+      if (tag != o.tag) return tag < o.tag;
+      return index < o.index;
+    }
+  };
+  const auto channel_before = [](const Endpoint& a, const Endpoint& b) {
+    return a.peer != b.peer ? a.peer < b.peer : a.tag < b.tag;
+  };
+  std::vector<std::size_t> bucket(n + 1, 0);
+  for (const std::vector<RankOp>& program : programs_) {
+    for (const RankOp& op : program) {
+      if (op.kind == RankOp::Kind::kSend) {
+        ++bucket[static_cast<std::size_t>(op.peer) + 1];
+      }
+    }
+  }
+  for (std::size_t d = 0; d < n; ++d) bucket[d + 1] += bucket[d];
+  std::vector<Endpoint> sends(bucket[n]);
+  {
+    std::vector<std::size_t> cursor(bucket.begin(), bucket.end() - 1);
+    int id = 0;
+    for (std::size_t src = 0; src < n; ++src) {
+      for (const RankOp& op : programs_[src]) {
+        if (op.kind != RankOp::Kind::kSend) continue;
+        sends[cursor[static_cast<std::size_t>(op.peer)]++] = {
+            static_cast<int>(src), op.tag, id++};
+      }
+    }
+  }
+
+  // Per destination: sort its inbound sends and its recvs by
+  // (src, tag, order) and pair the k-th of each channel.
+  pair_.assign(recv_base_.back(), -1);
+  std::vector<Endpoint> recvs;
+  for (std::size_t dst = 0; dst < n; ++dst) {
+    recvs.clear();
+    for (const RankOp& op : programs_[dst]) {
+      if (op.kind == RankOp::Kind::kRecv) {
+        recvs.push_back({op.peer, op.tag, static_cast<int>(recvs.size())});
+      }
+    }
+    if (recvs.empty()) continue;
+    const auto first = sends.begin() + static_cast<std::ptrdiff_t>(bucket[dst]);
+    const auto last =
+        sends.begin() + static_cast<std::ptrdiff_t>(bucket[dst + 1]);
+    std::sort(first, last);
+    std::sort(recvs.begin(), recvs.end());
+    int* pairs = pair_.data() + recv_base_[dst];
+    auto send = first;
+    for (const Endpoint& recv : recvs) {
+      // Skip channels no recv reads and sends beyond a channel's recvs.
+      while (send != last && channel_before(*send, recv)) ++send;
+      if (send != last && !channel_before(recv, *send)) {
+        pairs[recv.index] = send->index;
+        ++send;
+      }
+    }
+  }
+  paired_ = true;
 }
 
 void EventEngine::reset_run(EngineResult& result) {
+  if (!paired_) build_pairing();
   states_.assign(programs_.size(), RankState{});
-  applied_.clear();
+  awaited_.assign(programs_.size(), -1);
+  delivered_s_.assign(static_cast<std::size_t>(send_base_.back()), -1.0);
   fabric_.reset_transport();
   trace_lanes_ = trace::Tracer::instance().enabled()
                      ? std::min(fabric_.config().trace_rank_lanes, ranks())
                      : 0;
   result = EngineResult{};
+  result.messages.reserve(delivered_s_.size());
 }
 
 void EventEngine::finish_run(EngineResult& result) const {
@@ -115,7 +199,8 @@ void EventEngine::finish_run(EngineResult& result) const {
           : *std::max_element(result.clocks.begin(), result.clocks.end());
 }
 
-int EventEngine::apply_send(const SendIntent& intent, EngineResult& result) {
+double EventEngine::apply_send(const SendIntent& intent,
+                               EngineResult& result) {
   const Fabric::Transfer tr =
       fabric_.transfer(intent.src, intent.dst, intent.bytes, intent.post_s);
   MessageRecord record;
@@ -126,9 +211,8 @@ int EventEngine::apply_send(const SendIntent& intent, EngineResult& result) {
   record.posted_s = intent.post_s;
   record.delivered_s = tr.delivered_s;
   record.retries = tr.retries;
-  const int message = static_cast<int>(result.messages.size());
   result.messages.push_back(record);
-  applied_[message_key(intent.src, intent.dst, intent.tag)].push_back(message);
+  delivered_s_[static_cast<std::size_t>(intent.id)] = tr.delivered_s;
   if (traced(intent.src)) {
     trace::Tracer::instance().complete(
         "isend->r" + std::to_string(intent.dst) + " " +
@@ -136,7 +220,7 @@ int EventEngine::apply_send(const SendIntent& intent, EngineResult& result) {
         lane(intent.src), intent.post_s, tr.delivered_s - intent.post_s,
         "net");
   }
-  return message;
+  return tr.delivered_s;
 }
 
 void EventEngine::run_compute(RankState& state, int rank,
@@ -149,7 +233,7 @@ void EventEngine::run_compute(RankState& state, int rank,
   state.clock += scaled;
 }
 
-void EventEngine::run_recv(RankState& state, int rank, int src, int tag,
+void EventEngine::run_recv(RankState& state, int rank,
                            double delivered_s) const {
   if (delivered_s > state.clock) {
     if (traced(rank)) {
@@ -158,7 +242,7 @@ void EventEngine::run_recv(RankState& state, int rank, int src, int tag,
     }
     state.clock = delivered_s;
   }
-  consume_recv(state, src, tag);
+  ++state.recvs;
 }
 
 void EventEngine::resolve_collective() {
@@ -179,20 +263,57 @@ void EventEngine::resolve_collective() {
   }
 }
 
-int EventEngine::match_recv(const RankState& state, int rank, int src,
-                            int tag) const {
-  const auto it = applied_.find(message_key(src, rank, tag));
-  if (it == applied_.end()) return -1;
-  const std::size_t consumed_count = [&] {
-    const auto c = state.consumed.find(channel_key(src, tag));
-    return c == state.consumed.end() ? std::size_t{0} : c->second;
-  }();
-  if (consumed_count >= it->second.size()) return -1;
-  return it->second[consumed_count];
+double EventEngine::recv_delivery(const RankState& state, int rank) const {
+  const int send =
+      pair_[recv_base_[static_cast<std::size_t>(rank)] + state.recvs];
+  return send < 0 ? -1.0 : delivered_s_[static_cast<std::size_t>(send)];
 }
 
-void EventEngine::consume_recv(RankState& state, int src, int tag) {
-  ++state.consumed[channel_key(src, tag)];
+EventEngine::Next EventEngine::next_event(int rank, double& key) {
+  const auto r = static_cast<std::size_t>(rank);
+  const RankState& st = states_[r];
+  const std::vector<RankOp>& program = programs_[r];
+  awaited_[r] = -1;
+  if (st.pc >= program.size()) return Next::kDone;
+  key = st.clock;
+  switch (program[st.pc].kind) {
+    case RankOp::Kind::kCollective:
+      return Next::kCollective;
+    case RankOp::Kind::kRecv: {
+      const int send = pair_[recv_base_[r] + st.recvs];
+      if (send < 0) return Next::kBlocked;  // no send ever matches
+      const double delivered = delivered_s_[static_cast<std::size_t>(send)];
+      if (delivered < 0.0) {
+        awaited_[r] = send;
+        return Next::kBlocked;
+      }
+      key = std::max(key, delivered);
+      return Next::kRunnable;
+    }
+    default:
+      return Next::kRunnable;
+  }
+}
+
+void EventEngine::scan_ranks(std::size_t lo, std::size_t hi,
+                             ChunkScan& scan) {
+  scan = ChunkScan{kNever, 0, 0};
+  for (std::size_t r = lo; r < hi; ++r) {
+    double key = 0.0;
+    switch (next_event(static_cast<int>(r), key)) {
+      case Next::kDone:
+        continue;
+      case Next::kRunnable:
+        scan.next_s = std::min(scan.next_s, key);
+        break;
+      case Next::kCollective:
+        ++scan.at_collective;
+        break;
+      case Next::kBlocked:
+        break;
+    }
+    ++scan.live;
+  }
 }
 
 EngineResult EventEngine::run_serial() {
@@ -202,38 +323,28 @@ EngineResult EventEngine::run_serial() {
   const int n = ranks();
 
   // Min-heap over (next event time, rank). Each rank owns at most one
-  // entry; blocked receivers are parked per channel and re-pushed when the
-  // matching send is applied, and ranks at a collective are counted and
-  // re-pushed when it resolves, so entries are never stale.
+  // entry; a blocked receiver is re-pushed when its paired send is
+  // applied, and ranks at a collective are counted and re-pushed when it
+  // resolves, so entries are never stale.
   using Key = std::pair<double, int>;
   std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap;
-  std::unordered_map<std::uint64_t, int> parked;
   int at_collective = 0;
 
-  // Pushes `rank` keyed by its next op's event time, or parks it when the
-  // next op is a collective or a receive whose matching send has not been
-  // applied yet.
+  // Pushes `rank` keyed by its next op's event time, or counts it when
+  // the next op is a collective.
   const auto schedule = [&](int rank) {
-    RankState& st = states_[static_cast<std::size_t>(rank)];
-    const std::vector<RankOp>& program =
-        programs_[static_cast<std::size_t>(rank)];
-    if (st.pc >= program.size()) return;
-    const RankOp& op = program[st.pc];
-    double key = st.clock;
-    if (op.kind == RankOp::Kind::kCollective) {
-      ++at_collective;
-      return;
+    double key = 0.0;
+    switch (next_event(rank, key)) {
+      case Next::kRunnable:
+        heap.emplace(key, rank);
+        break;
+      case Next::kCollective:
+        ++at_collective;
+        break;
+      case Next::kDone:
+      case Next::kBlocked:
+        break;
     }
-    if (op.kind == RankOp::Kind::kRecv) {
-      const int message = match_recv(st, rank, op.peer, op.tag);
-      if (message < 0) {
-        parked[message_key(op.peer, rank, op.tag)] = rank;
-        return;
-      }
-      key = std::max(
-          key, result.messages[static_cast<std::size_t>(message)].delivered_s);
-    }
-    heap.emplace(key, rank);
   };
 
   for (int r = 0; r < n; ++r) schedule(r);
@@ -259,34 +370,26 @@ EngineResult EventEngine::run_serial() {
       case RankOp::Kind::kSend: {
         SendIntent intent;
         intent.post_s = st.clock;
+        intent.id = send_id(st, rank);
         intent.src = rank;
-        intent.seq = st.seq++;
         intent.dst = op.peer;
         intent.tag = op.tag;
         intent.bytes = op.value;
+        ++st.sends;
         apply_send(intent, result);
         st.clock += overhead;
-        // The send may unblock its receiver (possibly this very rank on a
-        // self-channel once its program reaches the recv).
-        const auto waiter =
-            parked.find(message_key(rank, op.peer, op.tag));
-        if (waiter != parked.end()) {
-          const int blocked_rank = waiter->second;
-          parked.erase(waiter);
-          if (blocked_rank != rank) schedule(blocked_rank);
+        // Wake the receiver if it is blocked on exactly this send (on a
+        // self-channel this rank is running, not blocked).
+        if (awaited_[static_cast<std::size_t>(op.peer)] == intent.id) {
+          schedule(op.peer);
         }
         break;
       }
-      case RankOp::Kind::kRecv: {
-        const int message = match_recv(st, rank, op.peer, op.tag);
-        EXA_REQUIRE(message >= 0);  // scheduled => matched
-        run_recv(st, rank, op.peer, op.tag,
-                 result.messages[static_cast<std::size_t>(message)]
-                     .delivered_s);
+      case RankOp::Kind::kRecv:
+        run_recv(st, rank, recv_delivery(st, rank));
         break;
-      }
       case RankOp::Kind::kCollective:
-        EXA_ASSERT(!"collectives are parked, never popped");
+        EXA_ASSERT(!"collectives are counted, never popped");
         break;
     }
     ++st.pc;
@@ -320,46 +423,65 @@ EngineResult EventEngine::run_parallel(support::ThreadPool* pool) {
 
   // Deterministic shard boundaries: the same grain-aligned chunks as every
   // bitwise-stable reduction in the tree (a function of the rank count
-  // alone, never of the pool size).
+  // alone, never of the pool size). Each chunk owns one intent list and
+  // one scan slot.
   const std::size_t grain = support::reduce_grain(n);
   const std::size_t slots = (n + grain - 1) / grain;
   std::vector<std::vector<SendIntent>> chunk_intents(slots);
-  std::vector<SendIntent> window;
+  std::vector<ChunkScan> scans(slots);
+  const auto by_post = [](const SendIntent& a, const SendIntent& b) {
+    if (a.post_s != b.post_s) return a.post_s < b.post_s;
+    return a.id < b.id;
+  };
+  // K-way merge cursor over one chunk's sorted intents; the heap's top is
+  // the earliest intent.
+  struct Head {
+    double post_s;
+    int id;
+    std::size_t chunk;
+    std::size_t next;  ///< index of this head's intent
+  };
+  std::vector<Head> heads;
+  const auto later = [](const Head& a, const Head& b) {
+    if (a.post_s != b.post_s) return a.post_s > b.post_s;
+    return a.id > b.id;
+  };
+  // Earliest wake-up of a receiver blocked on a send the last barrier
+  // applied (the chunks scanned before those sends existed).
+  double woken_s = kNever;
+  bool rescan = true;
 
   while (true) {
-    // --- window start: minimum next-event time over runnable ranks ------
-    double window_start = 0.0;
-    bool any_runnable = false;
-    bool all_done = true;
-    std::size_t at_collective = 0;
-    for (std::size_t r = 0; r < n; ++r) {
-      RankState& st = states_[r];
-      const std::vector<RankOp>& program = programs_[r];
-      if (st.pc >= program.size()) continue;
-      all_done = false;
-      const RankOp& op = program[st.pc];
-      double key = st.clock;
-      if (op.kind == RankOp::Kind::kRecv) {
-        const int message =
-            match_recv(st, static_cast<int>(r), op.peer, op.tag);
-        if (message < 0) continue;  // blocked: a barrier must free it
-        key = std::max(
-            key,
-            result.messages[static_cast<std::size_t>(message)].delivered_s);
-      } else if (op.kind == RankOp::Kind::kCollective) {
-        ++at_collective;
-        continue;  // waits until every rank has arrived
-      }
-      window_start = any_runnable ? std::min(window_start, key) : key;
-      any_runnable = true;
+    // --- window start: reduce the chunk slots ---------------------------
+    // A full scan is needed only before the first window and after a
+    // collective moved every clock; otherwise the slots were written by
+    // the chunks at the end of the last window.
+    if (rescan) {
+      workers.for_chunks(
+          0, n,
+          [&](std::size_t lo, std::size_t hi) {
+            scan_ranks(lo, hi, scans[lo / grain]);
+          },
+          grain);
+      woken_s = kNever;
+      rescan = false;
     }
-    if (all_done) break;
-    if (!any_runnable) {
+    double window_start = woken_s;
+    std::size_t live = 0;
+    std::size_t at_collective = 0;
+    for (const ChunkScan& scan : scans) {
+      window_start = std::min(window_start, scan.next_s);
+      live += scan.live;
+      at_collective += scan.at_collective;
+    }
+    if (live == 0) break;
+    if (window_start == kNever) {
       EXA_REQUIRE_MSG(at_collective == n,
                       "engine deadlock: a rank is blocked on a receive "
                       "whose matching send is never posted, or on a "
                       "collective another rank never reaches");
       resolve_collective();
+      rescan = true;
       continue;
     }
     const double horizon = window_start + delta;
@@ -380,22 +502,21 @@ EngineResult EventEngine::run_parallel(support::ThreadPool* pool) {
               } else if (op.kind == RankOp::Kind::kSend) {
                 SendIntent intent;
                 intent.post_s = st.clock;
+                intent.id = send_id(st, rank);
                 intent.src = rank;
-                intent.seq = st.seq++;
                 intent.dst = op.peer;
                 intent.tag = op.tag;
                 intent.bytes = op.value;
                 intents.push_back(intent);
+                ++st.sends;
                 st.clock += overhead;
               } else if (op.kind == RankOp::Kind::kRecv) {
-                // Receives only consume messages applied at a previous
-                // barrier (`applied_` is frozen during the window), so the
+                // Only sends applied at a previous barrier have a delivery
+                // time (`delivered_s_` is frozen during the window), so the
                 // match is identical at any pool size.
-                const int message = match_recv(st, rank, op.peer, op.tag);
-                if (message < 0) break;  // blocked until the barrier
-                run_recv(st, rank, op.peer, op.tag,
-                         result.messages[static_cast<std::size_t>(message)]
-                             .delivered_s);
+                const double delivered = recv_delivery(st, rank);
+                if (delivered < 0.0) break;  // blocked
+                run_recv(st, rank, delivered);
               } else {
                 break;  // collective: resolved at a barrier
               }
@@ -403,22 +524,42 @@ EngineResult EventEngine::run_parallel(support::ThreadPool* pool) {
               ++st.events;
             }
           }
+          // Ranks post in rank order, not post order.
+          std::sort(intents.begin(), intents.end(), by_post);
+          scan_ranks(lo, hi, scans[lo / grain]);
         },
         grain);
 
-    // --- barrier: apply the window's sends in serial order --------------
-    window.clear();
-    for (std::vector<SendIntent>& intents : chunk_intents) {
-      window.insert(window.end(), intents.begin(), intents.end());
-      intents.clear();
+    // --- barrier: merge the chunks' sends in serial order ---------------
+    heads.clear();
+    for (std::size_t c = 0; c < slots; ++c) {
+      if (chunk_intents[c].empty()) continue;
+      const SendIntent& first = chunk_intents[c].front();
+      heads.push_back({first.post_s, first.id, c, 0});
     }
-    std::sort(window.begin(), window.end(),
-              [](const SendIntent& a, const SendIntent& b) {
-                if (a.post_s != b.post_s) return a.post_s < b.post_s;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    for (const SendIntent& intent : window) apply_send(intent, result);
+    std::make_heap(heads.begin(), heads.end(), later);
+    woken_s = kNever;
+    while (!heads.empty()) {
+      std::pop_heap(heads.begin(), heads.end(), later);
+      Head& head = heads.back();
+      std::vector<SendIntent>& intents = chunk_intents[head.chunk];
+      const SendIntent& intent = intents[head.next];
+      const double delivered = apply_send(intent, result);
+      // The chunks scanned before this send existed: a receiver blocked on
+      // exactly it becomes runnable at max(its clock, delivery).
+      const auto dst = static_cast<std::size_t>(intent.dst);
+      if (awaited_[dst] == intent.id) {
+        woken_s = std::min(woken_s, std::max(states_[dst].clock, delivered));
+      }
+      if (++head.next < intents.size()) {
+        head.post_s = intents[head.next].post_s;
+        head.id = intents[head.next].id;
+        std::push_heap(heads.begin(), heads.end(), later);
+      } else {
+        intents.clear();
+        heads.pop_back();
+      }
+    }
     ++result.windows;
   }
 

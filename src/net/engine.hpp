@@ -29,17 +29,28 @@
 /// ranks) and horizon `L + delta`, every message posted inside the window
 /// is delivered at or after the horizon. A rank resumed by such a delivery
 /// can therefore never post a send before the horizon, which makes the
-/// windows' send batches — each sorted by (post time, rank, program
-/// order) — a contiguous, in-order partition of the serial engine's send
-/// sequence. Identical send application order means identical link
-/// cursors, drop-RNG draws, and FIFO channel clamps, hence identical
-/// delivered times, clocks, and message records.
+/// windows' send batches — each in (post time, rank, program order) — a
+/// contiguous, in-order partition of the serial engine's send sequence.
+/// Identical send application order means identical link cursors,
+/// drop-RNG draws, and FIFO channel clamps, hence identical delivered
+/// times, clocks, and message records.
 ///
-/// Receives never touch the fabric: the k-th recv posted on a
-/// (src, dst, tag) channel matches the k-th send applied on it, and only
-/// consumes messages applied at a previous window barrier (a recv whose
-/// match is still in flight blocks its rank until the barrier assigns the
-/// delivery). Matching is consequently timing-independent.
+/// Receives never touch the fabric, and their matching is static: the
+/// k-th recv on a (src, dst, tag) channel pairs with the k-th send on it
+/// in src's program order. Each engine computes that pairing once, on its
+/// first run, as a flat recv -> global send id table; a run only records
+/// each send's delivery time under its id when the send is applied. A recv
+/// whose paired send has not been applied blocks its rank, and only that
+/// send can wake it. Matching is consequently timing-independent.
+///
+/// The parallel loop has no serial per-rank pass in steady state. Each
+/// chunk of ranks runs to the horizon, sorts its own send intents by
+/// (post time, rank, program order) and records its minimum next-event
+/// time, live count and collective count in its own slot. The barrier
+/// k-way merges the chunk lists into the fabric and adds, per applied
+/// send, the wake-up time of a receiver blocked on exactly that send; the
+/// next window starts at the minimum over slots and wake-ups. Only the
+/// first window and the one after each collective rescan every rank.
 ///
 /// Collectives stop a rank the way a blocked recv does. The k-th
 /// collective of every rank is one collective; it resolves once no rank
@@ -55,7 +66,6 @@
 /// Units: seconds and bytes throughout.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -130,8 +140,10 @@ struct EngineResult {
 class EventEngine {
  public:
   /// One program per rank; `programs.size()` must not exceed
-  /// `fabric.total_ranks()` or 2^21. Send/recv peers must index a program
-  /// and tags must lie in [0, 2^21).
+  /// `fabric.total_ranks()` or 2^21, and the programs together may hold at
+  /// most INT_MAX sends. Send/recv peers must index a program and tags must
+  /// lie in [0, 2^21). The constructor only validates; the send/recv
+  /// pairing is built on the first run.
   EventEngine(Fabric& fabric, std::vector<std::vector<RankOp>> programs);
 
   /// Number of simulated ranks (count).
@@ -146,9 +158,10 @@ class EventEngine {
   /// Conservative-lookahead parallel engine. Ranks are sharded across
   /// `pool` (default: the global EXA_THREADS pool) at deterministic
   /// grain-aligned boundaries; each super-step runs every rank up to the
-  /// horizon and applies the window's sends in sorted order at the
-  /// barrier; a collective resolves at a barrier once no rank is runnable
-  /// and every rank waits at it. Bitwise identical to `run_serial()` for any pool size.
+  /// horizon, and the barrier merges the chunks' sorted sends into the
+  /// fabric; a collective resolves at a barrier once no rank is runnable
+  /// and every rank waits at it. Bitwise identical to `run_serial()` for
+  /// any pool size.
   [[nodiscard]] EngineResult run_parallel(support::ThreadPool* pool = nullptr);
 
   /// The safe lookahead window: latency + per-message overhead (seconds).
@@ -158,59 +171,80 @@ class EventEngine {
   struct RankState {
     double clock = 0.0;          ///< virtual time (seconds)
     std::size_t pc = 0;          ///< next op index
-    std::uint32_t seq = 0;       ///< sends posted so far (program-order key)
+    std::uint32_t sends = 0;     ///< sends posted so far
+    std::uint32_t recvs = 0;     ///< recvs completed so far
     std::uint64_t events = 0;    ///< ops executed by this rank
-    /// Messages consumed so far per (src, tag) inbound channel — owned by
-    /// this rank alone, so window execution never races on it.
-    std::unordered_map<std::uint64_t, std::size_t> consumed;
   };
 
   /// A send recorded during a window, applied at the barrier.
   struct SendIntent {
     double post_s = 0.0;  ///< sender clock at post time (seconds)
+    /// Global send id: ascending in (src, program order), so (post_s, id)
+    /// is the serial application order.
+    int id = 0;
     int src = 0;
-    std::uint32_t seq = 0;  ///< sender's program-order send counter
     int dst = 0;
     int tag = 0;
     double bytes = 0.0;
   };
 
-  /// (src, tag) key for a rank's inbound channel.
-  [[nodiscard]] static std::uint64_t channel_key(int src, int tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-            << 32) |
-           static_cast<std::uint32_t>(tag);
-  }
-  /// Global (src, dst, tag) key for applied-message lists.
-  [[nodiscard]] static std::uint64_t message_key(int src, int dst, int tag);
+  /// One chunk's view of its ranks' next events, written by the chunk.
+  struct ChunkScan {
+    double next_s = 0.0;            ///< minimum runnable event time
+    std::size_t live = 0;           ///< unfinished ranks
+    std::size_t at_collective = 0;  ///< ranks waiting at a collective
+  };
+
+  /// What a rank does next.
+  enum class Next : std::uint8_t { kDone, kBlocked, kCollective, kRunnable };
 
   /// True when `rank` owns a Chrome trace lane this run.
   [[nodiscard]] bool traced(int rank) const { return rank < trace_lanes_; }
-  /// Applies one send to the fabric and records the message; returns the
-  /// message index.
-  int apply_send(const SendIntent& intent, EngineResult& result);
+  /// Global id of the next send `state` (of `rank`) posts.
+  [[nodiscard]] int send_id(const RankState& state, int rank) const {
+    return send_base_[static_cast<std::size_t>(rank)] +
+           static_cast<int>(state.sends);
+  }
+  /// Builds `pair_`: recv -> paired global send id, -1 when none.
+  void build_pairing();
+  /// Delivery time (seconds) of the send the next recv of `state` (of
+  /// `rank`) pairs with; negative while that send is unapplied or when no
+  /// send matches.
+  [[nodiscard]] double recv_delivery(const RankState& state, int rank) const;
+  /// Classifies `rank`'s next op and records in `awaited_` the send it is
+  /// blocked on; for kRunnable, `key` is its event time.
+  [[nodiscard]] Next next_event(int rank, double& key);
+  /// Classifies ranks [lo, hi) into `scan`.
+  void scan_ranks(std::size_t lo, std::size_t hi, ChunkScan& scan);
+  /// Applies one send to the fabric, records the message and its delivery
+  /// time; returns the delivery time (seconds).
+  double apply_send(const SendIntent& intent, EngineResult& result);
   /// Runs a compute op of `seconds` (straggler-scaled) on `rank`.
   void run_compute(RankState& state, int rank, double seconds) const;
   /// Completes a matched recv on `rank`: the clock waits for `delivered_s`.
-  void run_recv(RankState& state, int rank, int src, int tag,
-                double delivered_s) const;
+  void run_recv(RankState& state, int rank, double delivered_s) const;
   /// Resolves the collective every rank is waiting at: all clocks become
   /// the max clock plus its cost.
   void resolve_collective();
-  /// Index of the next applied-but-unconsumed message on `rank`'s
-  /// (src, tag) channel, or -1 when the rank must block.
-  [[nodiscard]] int match_recv(const RankState& state, int rank, int src,
-                               int tag) const;
-  /// Consumes the matched message (bumps the rank's channel counter).
-  static void consume_recv(RankState& state, int src, int tag);
   void reset_run(EngineResult& result);
   void finish_run(EngineResult& result) const;
 
   Fabric& fabric_;
   std::vector<std::vector<RankOp>> programs_;
+  /// First global send id / recv index of each rank; one extra entry holds
+  /// the totals.
+  std::vector<int> send_base_;
+  std::vector<std::size_t> recv_base_;
+  /// Paired send id of every recv (indexed `recv_base_[rank] + recvs`), -1
+  /// when no send ever matches it. Empty until the first run.
+  std::vector<int> pair_;
+  bool paired_ = false;
   std::vector<RankState> states_;
-  /// Message indices per (src, dst, tag) channel, in application order.
-  std::unordered_map<std::uint64_t, std::vector<int>> applied_;
+  /// Delivery time of each send id this run; negative until applied.
+  std::vector<double> delivered_s_;
+  /// Per rank: the send id its current recv is blocked on, else -1. Set
+  /// whenever the rank is classified, so a send wakes only its receiver.
+  std::vector<int> awaited_;
   /// Ranks below this get trace lanes (0 when the tracer is off at run
   /// start).
   int trace_lanes_ = 0;

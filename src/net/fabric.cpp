@@ -462,7 +462,9 @@ Fabric::Transfer Fabric::transfer(int src_rank, int dst_rank, double bytes,
       // Lost in the fabric: the payload's link time was spent, the
       // sender backs off exponentially and re-injects.
       out.retries += 1;
-      t = finish + faults.backoff_base_s * static_cast<double>(1ull << attempt);
+      // ldexp is exact: base * 2^attempt for any retry budget (a 64-bit
+      // shift would be undefined past attempt 63).
+      t = finish + std::ldexp(faults.backoff_base_s, attempt);
       continue;
     }
     double delivered = finish + net.latency_s + staging;

@@ -53,6 +53,37 @@ std::vector<std::vector<RankOp>> ring_programs(int ranks, int rounds,
   return programs;
 }
 
+/// A strict dependency chain 0 -> 1 -> ... -> n-1: each rank past 0
+/// receives from its predecessor, computes, and sends to its successor.
+std::vector<std::vector<RankOp>> chain_programs(int n) {
+  std::vector<std::vector<RankOp>> programs(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    auto& prog = programs[static_cast<std::size_t>(r)];
+    if (r > 0) prog.push_back(RankOp::recv(r - 1));
+    prog.push_back(RankOp::compute(2.0e-6));
+    if (r + 1 < n) prog.push_back(RankOp::send(r + 1, 8192.0));
+  }
+  return programs;
+}
+
+/// `ring_programs` with a collective of `cost_s` closing every round
+/// (compute, send, recv).
+std::vector<std::vector<RankOp>> ring_with_collectives(int ranks, int rounds,
+                                                       std::uint64_t seed,
+                                                       double cost_s) {
+  std::vector<std::vector<RankOp>> programs =
+      ring_programs(ranks, rounds, seed);
+  for (std::vector<RankOp>& program : programs) {
+    std::vector<RankOp> with;
+    for (std::size_t i = 0; i < program.size(); ++i) {
+      with.push_back(program[i]);
+      if (i % 3 == 2) with.push_back(RankOp::collective(cost_s));
+    }
+    program = std::move(with);
+  }
+  return programs;
+}
+
 void expect_same(const EngineResult& serial, const EngineResult& parallel) {
   ASSERT_TRUE(serial.same_outcome(parallel))
       << "parallel engine diverged: clock_sum serial=" << serial.clock_sum()
@@ -68,6 +99,17 @@ EngineResult run_both(Fabric& fabric,
   EventEngine engine(fabric, std::move(programs));
   const EngineResult serial = engine.run_serial();
   expect_same(serial, engine.run_parallel());
+  return serial;
+}
+
+/// Runs `engine` serially and at pools 1/4/16, checks every parallel run
+/// agrees bitwise, and returns the serial outcome.
+EngineResult run_all_pools(EventEngine& engine) {
+  const EngineResult serial = engine.run_serial();
+  for (const std::size_t threads : {1u, 4u, 16u}) {
+    support::ThreadPool pool(threads);
+    expect_same(serial, engine.run_parallel(&pool));
+  }
   return serial;
 }
 
@@ -100,12 +142,7 @@ TEST(EventEngine, ParallelMatchesSerialWithFaults) {
 TEST(EventEngine, ExplicitPoolSizesAgree) {
   Fabric fabric = engine_fabric(true, true);
   EventEngine engine(fabric, ring_programs(96, 4, 0xE4));
-  const EngineResult serial = engine.run_serial();
-  for (const std::size_t threads : {1u, 4u, 16u}) {
-    support::ThreadPool pool(threads);
-    const EngineResult parallel = engine.run_parallel(&pool);
-    expect_same(serial, parallel);
-  }
+  (void)run_all_pools(engine);
 }
 
 TEST(EventEngine, RunsAreRepeatable) {
@@ -143,14 +180,7 @@ TEST(EventEngine, BlockedChainCrossesShardBoundaries) {
   // A strict dependency chain 0 -> 1 -> ... -> n-1: every rank past 0 must
   // block, and windows must keep waking exactly one rank at a time.
   const int n = 64;
-  std::vector<std::vector<RankOp>> programs(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    auto& prog = programs[static_cast<std::size_t>(r)];
-    if (r > 0) prog.push_back(RankOp::recv(r - 1));
-    prog.push_back(RankOp::compute(2.0e-6));
-    if (r + 1 < n) prog.push_back(RankOp::send(r + 1, 8192.0));
-  }
-  EventEngine engine(fabric, std::move(programs));
+  EventEngine engine(fabric, chain_programs(n));
   const EngineResult serial = engine.run_serial();
   const EngineResult parallel = engine.run_parallel();
   expect_same(serial, parallel);
@@ -163,13 +193,22 @@ TEST(EventEngine, BlockedChainCrossesShardBoundaries) {
 
 TEST(EventEngine, DeadlockIsDiagnosed) {
   Fabric fabric = engine_fabric(false, false);
-  // Rank 1 waits for a message rank 0 never sends.
-  std::vector<std::vector<RankOp>> programs(2);
-  programs[0].push_back(RankOp::compute(1.0e-6));
-  programs[1].push_back(RankOp::recv(0));
-  EventEngine engine(fabric, std::move(programs));
-  EXPECT_THROW((void)engine.run_parallel(), support::Error);
-  EXPECT_THROW((void)engine.run_serial(), support::Error);
+  // Rank 1 waits for a message rank 0 never sends: rank 0 sends nothing,
+  // or sends to rank 1 only on another tag.
+  std::vector<std::vector<RankOp>> silent(2);
+  silent[0] = {RankOp::compute(1.0e-6)};
+  silent[1] = {RankOp::recv(0)};
+  std::vector<std::vector<RankOp>> other_tag(2);
+  other_tag[0] = {RankOp::send(1, 64.0, /*tag=*/0)};
+  other_tag[1] = {RankOp::recv(0, 0), RankOp::recv(0, 5)};
+  for (auto* programs : {&silent, &other_tag}) {
+    EventEngine engine(fabric, *programs);
+    EXPECT_THROW((void)engine.run_serial(), support::Error);
+    for (const std::size_t threads : {1u, 4u, 16u}) {
+      support::ThreadPool pool(threads);
+      EXPECT_THROW((void)engine.run_parallel(&pool), support::Error);
+    }
+  }
 }
 
 TEST(EventEngine, RejectsWaitBeforeMatchingSend) {
@@ -190,15 +229,27 @@ TEST(EventEngine, RejectsWaitBeforeMatchingSend) {
 }
 
 TEST(EventEngine, SelfChannelWorks) {
-  Fabric fabric = engine_fabric(true, false);
-  std::vector<std::vector<RankOp>> programs(1);
-  programs[0].push_back(RankOp::send(0, 512.0));
-  programs[0].push_back(RankOp::recv(0));
-  EventEngine engine(fabric, std::move(programs));
-  const EngineResult serial = engine.run_serial();
-  const EngineResult parallel = engine.run_parallel();
-  expect_same(serial, parallel);
-  EXPECT_EQ(serial.messages.size(), 1u);
+  Fabric fabric = engine_fabric(true, true);
+  EventEngine single(fabric, {{RankOp::send(0, 512.0), RankOp::recv(0)}});
+  EXPECT_EQ(run_all_pools(single).messages.size(), 1u);
+  // Every rank sends to itself on two tags and to its neighbour, then
+  // drains its own channel in reverse tag order before the neighbour's.
+  const int ranks = 40;
+  std::vector<std::vector<RankOp>> programs(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) {
+    programs[static_cast<std::size_t>(r)] = {
+        RankOp::send(r, 512.0, 1),
+        RankOp::compute(1.0e-6),
+        RankOp::send(r, 1024.0, 2),
+        RankOp::send((r + 1) % ranks, 2048.0),
+        RankOp::recv(r, 2),
+        RankOp::recv(r, 1),
+        RankOp::recv((r + ranks - 1) % ranks)};
+  }
+  EventEngine many(fabric, std::move(programs));
+  const EngineResult r = run_all_pools(many);
+  EXPECT_EQ(r.messages.size(), 3u * ranks);
+  EXPECT_EQ(r.events, 7u * ranks);
 }
 
 TEST(EventEngine, RejectsTagsOutsideTheChannelKeyRange) {
@@ -220,6 +271,101 @@ TEST(EventEngine, RejectsTagsOutsideTheChannelKeyRange) {
   ASSERT_EQ(r.messages.size(), 2u);
   EXPECT_EQ(r.clocks[1], std::max(r.messages[0].delivered_s,
                                   r.messages[1].delivered_s));
+}
+
+// --- static send/recv pairing -----------------------------------------------
+
+TEST(EventEngine, TrailingSendsAreAppliedAndRecorded) {
+  Fabric fabric = engine_fabric(true, true);
+  // Five sends on one channel, two recvs: the last three sends match no
+  // recv but still cross the fabric and enter the message log.
+  std::vector<std::vector<RankOp>> programs(2);
+  for (int i = 0; i < 5; ++i) {
+    programs[0].push_back(RankOp::send(1, 2048.0 * (i + 1), /*tag=*/3));
+  }
+  programs[1] = {RankOp::recv(0, 3), RankOp::recv(0, 3),
+                 RankOp::compute(1.0e-6)};
+  EventEngine engine(fabric, std::move(programs));
+  const EngineResult r = run_all_pools(engine);
+  ASSERT_EQ(r.messages.size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(r.messages[static_cast<std::size_t>(i)].bytes, 2048.0 * (i + 1));
+  }
+  const double after_recvs = std::max(r.messages[0].delivered_s,
+                                      r.messages[1].delivered_s);
+  EXPECT_DOUBLE_EQ(r.clocks[1],
+                   after_recvs + 1.0e-6 * fabric.straggler_scale(1));
+}
+
+TEST(EventEngine, InterleavedTagsMatchFifoPerTag) {
+  Fabric fabric = engine_fabric(true, false);
+  const double overhead = fabric.machine().network.per_message_overhead_s;
+  // Rank 0 sends tags 1,2,1,2,2,1 with compute between, so deliveries are
+  // spread out. Rank 1 receives them as 2,2,1,1,2,1 and reports its clock
+  // after each recv by posting a send to rank 2.
+  const std::vector<int> send_tags = {1, 2, 1, 2, 2, 1};
+  const std::vector<int> recv_tags = {2, 2, 1, 1, 2, 1};
+  std::vector<std::vector<RankOp>> programs(3);
+  for (std::size_t i = 0; i < send_tags.size(); ++i) {
+    programs[0].push_back(RankOp::compute(5.0e-6));
+    programs[0].push_back(
+        RankOp::send(1, 4096.0 * static_cast<double>(i + 1), send_tags[i]));
+  }
+  for (const int tag : recv_tags) {
+    programs[1].push_back(RankOp::recv(0, tag));
+    programs[1].push_back(RankOp::send(2, 64.0));
+    programs[2].push_back(RankOp::recv(1));
+  }
+  EventEngine engine(fabric, std::move(programs));
+  const EngineResult r = run_all_pools(engine);
+
+  // Rank 0's k-th send is message k of its log; the k-th recv of a tag
+  // must take the k-th send of that tag.
+  std::vector<double> delivered;
+  std::vector<double> reported;
+  for (const MessageRecord& m : r.messages) {
+    if (m.src == 0) delivered.push_back(m.delivered_s);
+    if (m.src == 1) reported.push_back(m.posted_s);
+  }
+  ASSERT_EQ(delivered.size(), send_tags.size());
+  ASSERT_EQ(reported.size(), recv_tags.size());
+  const std::vector<std::size_t> expected_match = {1, 3, 0, 2, 4, 5};
+  double clock = 0.0;
+  for (std::size_t k = 0; k < recv_tags.size(); ++k) {
+    clock = std::max(clock, delivered[expected_match[k]]);
+    EXPECT_EQ(reported[k], clock) << "recv " << k;
+    clock += overhead;
+  }
+}
+
+/// Super-step count of `engine`'s parallel run, checked equal at pools
+/// 1/4/16.
+int windows_at_all_pools(EventEngine& engine) {
+  support::ThreadPool one(1);
+  const int windows = engine.run_parallel(&one).windows;
+  for (const std::size_t threads : {4u, 16u}) {
+    support::ThreadPool pool(threads);
+    EXPECT_EQ(engine.run_parallel(&pool).windows, windows);
+  }
+  return windows;
+}
+
+TEST(EventEngine, WindowCountIsPinned) {
+  // Virtual time alone cannot see a window that starts too early: every
+  // bit stays the same, only the super-step count grows. The counts are
+  // those of a full next-event scan over every rank before each window.
+  Fabric faulty = engine_fabric(true, true);
+  EventEngine ring(faulty, ring_programs(1024, 4, 0xE8));
+  EXPECT_EQ(windows_at_all_pools(ring), 17);
+
+  // A dependency chain across 2-rank chunks: one rank wakes per barrier.
+  Fabric congested = engine_fabric(true, false);
+  EventEngine chain(congested, chain_programs(300));
+  EXPECT_EQ(windows_at_all_pools(chain), 300);
+
+  EventEngine collectives(
+      faulty, ring_with_collectives(96, 6, 0xE7, faulty.allreduce(8192.0, 96)));
+  EXPECT_EQ(windows_at_all_pools(collectives), 12);
 }
 
 // --- overlap: per-rank clocks over one fabric ------------------------------
@@ -297,26 +443,14 @@ TEST(EventEngine, CollectivesMatchSerialAtAnyPoolSize) {
   // The mixed ring workload with an allreduce closing every round
   // (compute, send, recv), under congestion and faults.
   const int ranks = 96;
-  const double cost = fabric.allreduce(8192.0, ranks);
-  std::vector<std::vector<RankOp>> programs = ring_programs(ranks, 6, 0xE7);
-  for (std::vector<RankOp>& program : programs) {
-    std::vector<RankOp> rounds;
-    for (std::size_t i = 0; i < program.size(); ++i) {
-      rounds.push_back(program[i]);
-      if (i % 3 == 2) rounds.push_back(RankOp::collective(cost));
-    }
-    program = std::move(rounds);
-  }
-  EventEngine engine(fabric, std::move(programs));
-  const EngineResult serial = engine.run_serial();
+  EventEngine engine(fabric,
+                     ring_with_collectives(ranks, 6, 0xE7,
+                                           fabric.allreduce(8192.0, ranks)));
+  const EngineResult serial = run_all_pools(engine);
   EXPECT_GT(serial.total_retries(), 0);
   EXPECT_EQ(serial.events, 96u * 6u * 4u);
   for (const double clock : serial.clocks) {
     EXPECT_EQ(clock, serial.makespan_s);  // all leave the last collective
-  }
-  for (const std::size_t threads : {1u, 4u, 16u}) {
-    support::ThreadPool pool(threads);
-    expect_same(serial, engine.run_parallel(&pool));
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/assert.hpp"
@@ -214,6 +215,31 @@ TEST(Fabric, TransferRetriesPreserveChannelOrder) {
     total_retries += t.retries;
   }
   EXPECT_GT(total_retries, 0) << "drop layer never fired at q=0.4";
+}
+
+TEST(Fabric, BackoffBeyond64RetriesIsDefined) {
+  // Retry k backs off base * 2^k; past k = 63 that factor no longer fits a
+  // 64-bit shift. Each message starts when the previous one landed, so
+  // its delivery minus its start is at least its own backoff sum.
+  FabricConfig config;
+  config.faults.drop_probability = 0.9;
+  config.faults.max_retries = 80;
+  Fabric fabric(arch::machines::frontier(), 8, config);
+  const double base = config.faults.backoff_base_s;
+  double last = 0.0;
+  int most_retries = 0;
+  for (int i = 0; i < 100000 && most_retries < 65; ++i) {
+    const auto t = fabric.transfer(0, 9, 4096.0, last);
+    ASSERT_TRUE(std::isfinite(t.delivered_s)) << "message " << i;
+    ASSERT_GE(t.delivered_s, last) << "message " << i << " overtook";
+    if (t.retries >= 65) {
+      // Backoffs 0..64 sum to base * (2^65 - 1).
+      EXPECT_GE(t.delivered_s - last, 1.5 * std::ldexp(base, 64));
+    }
+    most_retries = std::max(most_retries, t.retries);
+    last = t.delivered_s;
+  }
+  EXPECT_GE(most_retries, 65);
 }
 
 TEST(Fabric, TransferMatchesP2pWhenQuiet) {
