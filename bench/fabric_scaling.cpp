@@ -1,8 +1,8 @@
 /// Weak-scaling study of a representative exascale step schedule through
 /// exa::net::Fabric: the same per-rank workload (spectral transpose
 /// alltoall + CG-style allreduce + 6-face halo + a fixed device kernel)
-/// timed with the fabric's congestion engine off (the exact CommModel
-/// reduction) and on (per-link contention over the tapered fat-tree).
+/// timed with the fabric's congestion engine off (the LogGP closed
+/// forms) and on (per-link contention over the tapered fat-tree).
 /// Static (src+dst)%spines routing aligns the transpose traffic onto
 /// single spine uplinks once the job spans many leaf switches, so the
 /// congestion-on efficiency falls strictly below the analytic curve at

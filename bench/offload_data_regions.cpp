@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "net/comm_model.hpp"
+#include "net/fabric.hpp"
 #include "sim/device_sim.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
 
   // GPU-aware MPI (USE_DEVICE_PTR) vs staging through the host.
   const arch::Machine frontier = arch::machines::frontier();
-  net::CommModel aware(frontier, frontier.node.gpus_per_node, true);
-  net::CommModel staged(frontier, frontier.node.gpus_per_node, false);
+  const net::Fabric aware(frontier, frontier.node.gpus_per_node, {}, true);
+  const net::Fabric staged(frontier, frontier.node.gpus_per_node, {}, false);
   support::Table mpi("Halo exchange of 8 MiB faces, 6 neighbors");
   mpi.set_header({"MPI path", "Exchange time"});
   const double face = 8.0 * 1024 * 1024;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "net/comm_model.hpp"
+#include "net/fabric.hpp"
 #include "sim/occupancy.hpp"
 #include "support/assert.hpp"
 
@@ -370,7 +370,7 @@ ScaleResult gordon_bell_run(const arch::Machine& machine,
   // Per k-panel: broadcast pivot row/column blocks along device rows and
   // columns, then the local min-plus update. Communication and compute of
   // successive panels pipeline, so the step cost is max(comm, compute).
-  net::CommModel comm(machine, machine.node.gpus_per_node);
+  const net::Fabric comm(machine, machine.node.gpus_per_node);
   const double panel_bytes =
       static_cast<double>(local_n) * tuned.best.tile * 4.0;
   const double comm_s =

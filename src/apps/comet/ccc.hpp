@@ -102,8 +102,8 @@ struct CometScaleResult {
 /// the matrix cores, overlapped with the ring exchange of the next block.
 /// The exchange runs as a two-rank `net::EventEngine` program (send of the
 /// next block; GEMM, then recv), so `fabric` knobs (congestion, faults)
-/// directly erode the "near-perfect" overlap; the default analytic fabric
-/// reproduces the calibrated CommModel costs exactly.
+/// directly erode the "near-perfect" overlap; the default quiet fabric
+/// prices every message with the calibrated LogGP closed form.
 [[nodiscard]] CometScaleResult scale_run(const arch::Machine& machine,
                                          int nodes,
                                          std::size_t vectors_per_device,

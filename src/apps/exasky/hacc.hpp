@@ -81,7 +81,7 @@ enum class SimKind { kGravityOnly, kHydro };
 /// One full timestep on `nodes` nodes of `machine` with `particles_per_rank`
 /// particles per device rank. The PM-transpose alltoall and the particle
 /// overload halo go through the topology-aware fabric; the default
-/// `fabric` config reduces to the calibrated CommModel exactly.
+/// `fabric` config prices them with the calibrated LogGP closed forms.
 [[nodiscard]] StepModel step_model(const arch::Machine& machine, int nodes,
                                    double particles_per_rank,
                                    SimKind kind = SimKind::kGravityOnly,

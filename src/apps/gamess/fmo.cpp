@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "net/comm_model.hpp"
+#include "net/fabric.hpp"
 #include "support/assert.hpp"
 
 namespace exa::apps::gamess {
@@ -58,7 +58,7 @@ double fmo_iteration_time(const arch::Machine& machine, int nodes,
   const double compute_s = (tasks_per_worker + imbalance) * fragment_seconds;
 
   // Coordination: monomer-density broadcast each iteration.
-  net::CommModel comm(machine, std::max(1, machine.node.gpus_per_node));
+  const net::Fabric comm(machine, std::max(1, machine.node.gpus_per_node));
   const double density_bytes = 2.0e6;  // fragment densities
   const double coord_s = comm.bcast(density_bytes, workers) +
                          comm.allreduce(8.0 * work.monomers, workers);

@@ -406,7 +406,7 @@ StepTime step_time(const arch::Machine& machine, int nodes,
   }
 
   // The alltoall transposes go through the topology-aware fabric; with the
-  // default config it reduces to the calibrated CommModel bit-for-bit.
+  // default (quiet) config it prices the calibrated LogGP closed form.
   const net::Fabric comm(machine, rpn, config.fabric);
 
   // Local FFT work per rank per 3-D transform: three axis sweeps of

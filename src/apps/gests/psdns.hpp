@@ -107,9 +107,9 @@ struct PsdnsConfig {
   int ranks_per_node = 0;      ///< 0: one per device
   Decomposition decomp = Decomposition::kSlabs;
   int transforms_per_step = 9; ///< 3-D FFTs per RK substep sweep
-  /// Network model knobs. The default (congestion and faults off) reduces
-  /// the fabric to the calibrated CommModel exactly, so baseline FOMs are
-  /// golden-stable; flip `congestion` on to study transpose hotspots.
+  /// Network model knobs. The default (congestion and faults off) prices
+  /// the calibrated LogGP closed forms, so baseline FOMs are golden-stable;
+  /// flip `congestion` on to study transpose hotspots.
   net::FabricConfig fabric;
   /// Storage model for the velocity-field dumps the DNS campaigns write
   /// for spectra/statistics post-processing. The default quiet filesystem

@@ -73,7 +73,7 @@ struct QeqResult {
 /// Simulated per-equilibration wall time on `machine`: per loop trip, a
 /// device SpMV (single- or dual-vector) plus the CG dot-product allreduce
 /// across ranks. Collectives are issued through the topology-aware fabric;
-/// the default `fabric` config reduces to the calibrated CommModel.
+/// the default `fabric` config prices the calibrated LogGP closed forms.
 [[nodiscard]] double simulate_qeq_time(const arch::Machine& machine,
                                        std::size_t atoms_per_rank,
                                        std::size_t nnz_per_rank,

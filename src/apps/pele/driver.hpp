@@ -34,7 +34,7 @@ struct PeleConfig {
   int chem_substeps_pointwise = 15;  ///< explicit substeps per cell
   int newton_iters_batched = 6;      ///< implicit iterations per cell
   /// Network model knobs for the ghost exchange and regrid collective; the
-  /// default (analytic) fabric reproduces the CommModel costs exactly.
+  /// default (quiet) fabric prices the calibrated LogGP closed forms.
   net::FabricConfig fabric;
   /// Storage model for plotfile output (§3.8 writes plotfiles on a
   /// cadence for analysis); the default quiet filesystem adds exactly

@@ -79,8 +79,8 @@ struct SolveModel {
 };
 
 /// Prices `stats` on `machine` with `rows_per_rank` unknowns (27 stored
-/// nonzeros each) on every rank. The default `fabric` config reduces to
-/// the calibrated CommModel, keeping the model golden-stable.
+/// nonzeros each) on every rank. The default (quiet) `fabric` config prices
+/// the calibrated LogGP closed forms, keeping the model golden-stable.
 [[nodiscard]] SolveModel solve_model(const arch::Machine& machine, int nodes,
                                      std::size_t rows_per_rank,
                                      const CgStats& stats,

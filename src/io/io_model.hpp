@@ -85,7 +85,7 @@ struct IoConfig {
   std::size_t max_records = std::size_t{1} << 20;
 
   /// Throws support::Error when any field is out of its documented range
-  /// (mirrors the CommModel ranks>=1 guards).
+  /// (mirrors the network model's ranks>=1 guards).
   void validate() const;
 
   /// True when every cost in the config is zero (infinite bandwidths,

@@ -10,7 +10,7 @@
 /// `support::ThreadPool` and is **bitwise identical** to the serial loop
 /// at any `EXA_THREADS`.
 ///
-/// What `CommModel` could never express (and the paper's §2.2/§3.3/§3.8
+/// What a closed-form cost could never express (and the paper's §2.2/§3.3/§3.8
 /// campaigns live on) is *overlap*: a send injects its payload at the
 /// sender's clock and charges only the per-message software overhead, the
 /// transfer progresses while the receiver computes, and the receive pays

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "support/assert.hpp"
+#include "support/repeat_add.hpp"
 #include "support/units.hpp"
 #include "trace/tracer.hpp"
 
@@ -142,16 +143,23 @@ void FabricTopology::degrade_links(double fraction, std::uint64_t seed) {
 
 Fabric::Fabric(const arch::Machine& machine, int ranks_per_node,
                FabricConfig config, bool gpu_aware)
-    : model_(machine, ranks_per_node, gpu_aware),
+    : machine_(machine),
+      ranks_per_node_(ranks_per_node),
+      gpu_aware_(gpu_aware),
       config_(config),
       topo_(machine, config.topology),
       drop_rng_(config.faults.seed) {
+  EXA_REQUIRE(ranks_per_node_ >= 1);
   EXA_REQUIRE(config_.faults.degrade_factor > 0.0 &&
               config_.faults.degrade_factor <= 1.0);
   EXA_REQUIRE(config_.faults.drop_probability >= 0.0 &&
               config_.faults.drop_probability <= 0.9);
   EXA_REQUIRE(config_.faults.straggler_slowdown >= 1.0);
   EXA_REQUIRE(config_.faults.max_retries >= 0);
+  // A negative backoff would deliver a retried message before
+  // posted + latency + overhead, breaking EventEngine's lookahead bound.
+  EXA_REQUIRE(std::isfinite(config_.faults.backoff_base_s) &&
+              config_.faults.backoff_base_s >= 0.0);
   EXA_REQUIRE(config_.max_sampled_phases >= 1);
   topo_.degrade_links(config_.faults.degraded_link_fraction,
                       config_.faults.seed);
@@ -166,6 +174,21 @@ std::vector<Fabric::PhaseScratch>& Fabric::ensure_scratch(
     if (slot.load.size() != links) slot.load.assign(links, 0.0);
   }
   return phase_scratch_;
+}
+
+double Fabric::rank_bandwidth() const {
+  return machine_.network.node_injection_bandwidth() /
+         static_cast<double>(ranks_per_node_);
+}
+
+double Fabric::rank_bandwidth_global() const {
+  return rank_bandwidth() * machine_.network.bisection_factor;
+}
+
+double Fabric::staging_cost(double bytes) const {
+  if (gpu_aware_ || !machine_.node.has_gpu()) return 0.0;
+  const arch::HostLink& link = machine_.node.gpu->host_link;
+  return link.latency_s + bytes / link.bandwidth_bytes_per_s;
 }
 
 bool Fabric::is_straggler(int rank) const {
@@ -229,14 +252,12 @@ double Fabric::retry_surcharge(double msgs, double msg_cost_s) const {
 
 double Fabric::ring_phases(double bytes_per_pair, int ranks) const {
   const auto& net = machine().network;
-  const double bwg = model_.rank_bandwidth_global();
+  const double bwg = rank_bandwidth_global();
   const int phases = ranks - 1;
-  double volume_s = 0.0;
   if (!event_driven()) {
-    // Exact reduction: (p-1) equal phases re-derive the closed form as a
-    // sum (CommModel computes (p-1)*m/bwg in one multiply).
-    for (int k = 0; k < phases; ++k) volume_s += bytes_per_pair / bwg;
-    return volume_s;
+    // (p-1) equal phases, summed in closed form.
+    return support::repeat_add(0.0, bytes_per_pair / bwg,
+                               static_cast<std::uint64_t>(phases));
   }
   const int samples = std::min(phases, config_.max_sampled_phases);
   // Phases are independent given their own scratch: route loads, drain the
@@ -256,23 +277,21 @@ double Fabric::ring_phases(double bytes_per_pair, int ranks) const {
                                net.per_message_overhead_s +
                                    bytes_per_pair / bwg);
       });
-  volume_s = sampled / samples * phases;
-  return volume_s;
+  return sampled / samples * phases;
 }
 
 double Fabric::tree_phases(double total_volume, int ranks, int steps,
                            bool pairwise) const {
   const auto& net = machine().network;
-  const double bwg = model_.rank_bandwidth_global();
+  const double bwg = rank_bandwidth_global();
   const double per_phase =
       steps > 0 ? total_volume / static_cast<double>(steps) : 0.0;
-  double volume_s = 0.0;
   if (!event_driven()) {
-    for (int j = 0; j < steps; ++j) volume_s += per_phase / bwg;
-    return volume_s;
+    return support::repeat_add(0.0, per_phase / bwg,
+                               static_cast<std::uint64_t>(steps));
   }
   const int levels = std::max(1, static_cast<int>(log2_ceil(ranks)));
-  volume_s = phase_sum(steps, [&](int j, PhaseScratch& scratch) {
+  return phase_sum(steps, [&](int j, PhaseScratch& scratch) {
     const int distance = 1 << (j % levels);
     double msgs = 0.0;
     if (per_phase > 0.0) {
@@ -300,13 +319,12 @@ double Fabric::tree_phases(double total_volume, int ranks, int steps,
            retry_surcharge(msgs, net.per_message_overhead_s +
                                      per_phase / bwg);
   });
-  return volume_s;
 }
 
 double Fabric::p2p(double bytes) const {
   EXA_REQUIRE(bytes >= 0.0);
   const auto& net = machine().network;
-  const double analytic = bytes / model_.rank_bandwidth();
+  const double analytic = bytes / rank_bandwidth();
   double volume_s = analytic;
   if (event_driven()) {
     // Canonical placement: rank 0 to the last rank, crossing the core.
@@ -316,7 +334,7 @@ double Fabric::p2p(double bytes) const {
                retry_surcharge(1.0, net.per_message_overhead_s + analytic);
   }
   const double cost = net.latency_s + net.per_message_overhead_s + volume_s +
-                      2.0 * model_.staging_cost(bytes);
+                      2.0 * staging_cost(bytes);  // D2H sender, H2D receiver
   trace("p2p", bytes, 2, cost);
   return cost;
 }
@@ -326,12 +344,15 @@ double Fabric::halo_exchange(double bytes_per_face, int faces) const {
   EXA_REQUIRE(faces >= 0);
   if (faces == 0) return 0.0;
   const auto& net = machine().network;
-  const double bw = model_.rank_bandwidth();
+  const double bw = rank_bandwidth();
+  // Faces serialize on the NIC; the two directions of one face are full
+  // duplex, and staging is paid once per face per direction.
   const double fixed = net.latency_s + net.per_message_overhead_s +
-                       2.0 * model_.staging_cost(bytes_per_face);
+                       2.0 * staging_cost(bytes_per_face);
   double cost = 0.0;
   if (!event_driven()) {
-    for (int f = 0; f < faces; ++f) cost += fixed + bytes_per_face / bw;
+    cost = support::repeat_add(0.0, fixed + bytes_per_face / bw,
+                               static_cast<std::uint64_t>(faces));
   } else {
     // All ranks exchange each face concurrently; neighbor offsets walk
     // the three axes of a cubic rank grid (±1, ±s, ±s²).
@@ -368,7 +389,7 @@ double Fabric::allreduce(double bytes, int ranks) const {
   const double cost =
       steps * (net.latency_s + net.per_message_overhead_s) +
       tree_phases(volume, ranks, static_cast<int>(steps), /*pairwise=*/true) +
-      2.0 * model_.staging_cost(bytes);
+      2.0 * staging_cost(bytes);
   trace("allreduce", bytes, ranks, cost);
   return cost;
 }
@@ -383,7 +404,7 @@ double Fabric::alltoall(double bytes_per_pair, int ranks) const {
   const double volume = peers * bytes_per_pair;
   const double cost = peers * net.per_message_overhead_s + net.latency_s +
                       ring_phases(bytes_per_pair, ranks) +
-                      2.0 * model_.staging_cost(volume);
+                      2.0 * staging_cost(volume);
   trace("alltoall", volume, ranks, cost);
   return cost;
 }
@@ -398,7 +419,7 @@ double Fabric::bcast(double bytes, int ranks) const {
   const double cost =
       steps * (net.latency_s + net.per_message_overhead_s) +
       tree_phases(bytes, ranks, static_cast<int>(steps), /*pairwise=*/false) +
-      2.0 * model_.staging_cost(bytes);
+      2.0 * staging_cost(bytes);
   trace("bcast", bytes, ranks, cost);
   return cost;
 }
@@ -424,8 +445,8 @@ Fabric::Transfer Fabric::transfer(int src_rank, int dst_rank, double bytes,
   EXA_REQUIRE(dst_rank >= 0 && dst_rank < total_ranks());
   const auto& net = machine().network;
   const auto& faults = config_.faults;
-  const double staging = 2.0 * model_.staging_cost(bytes);
-  const double analytic_serial = bytes / model_.rank_bandwidth();
+  const double staging = 2.0 * staging_cost(bytes);
+  const double analytic_serial = bytes / rank_bandwidth();
 
   const int sn = node_of_rank(src_rank);
   const int dn = node_of_rank(dst_rank);

@@ -1,32 +1,38 @@
 #pragma once
 /// \file fabric.hpp
-/// Topology-aware event-driven network fabric.
+/// Topology-aware event-driven network fabric — the one analytic LogGP
+/// network model, plus the effects the Frontier CoE actually fought.
 ///
-/// `CommModel` prices every message against a closed-form `L + o + m/B_eff`
-/// cost — good enough for first-order scaling studies, but blind to the
-/// effects the Frontier CoE actually fought (PAPER.md §2.2, §3.3, §3.6):
-/// link congestion under adversarial traffic, compute/communication
-/// overlap, stragglers, and flaky links. `Fabric` adds those effects on
-/// top of the same calibrated inputs:
+/// Quiet (`config.congestion == false`, no faults configured), every
+/// message costs the closed form `L + o + m/B_eff`: L is the wire
+/// latency, o the per-message software overhead, and B_eff the per-rank
+/// share of node injection bandwidth (degraded by the topology's
+/// bisection factor for global patterns). GPU-aware MPI sends device
+/// buffers straight to the NIC; without it each end stages the message
+/// across the host link first (§2.2's USE_DEVICE_PTR story). This is the
+/// substrate of every scaling result in the paper: GESTS' transposes
+/// (§3.3), Pele's ghost exchanges (§3.8), LAMMPS' QEq reductions
+/// (§3.10.2), CoMet/ExaSky weak scaling (§3.4, §3.6).
+///
+/// On top of the same calibrated inputs the fabric adds what a closed form
+/// is blind to (PAPER.md §2.2, §3.3, §3.6):
 ///
 ///  * a **link graph** derived from `arch::Machine` — a two-level tapered
 ///    fat-tree or a dragonfly built from the interconnect's injection
 ///    bandwidth and bisection factor;
 ///  * a **phase engine** for collectives: each collective becomes a
-///    schedule of communication phases whose *uncongested* costs sum
-///    exactly to the `CommModel` closed form, and whose *congested* costs
-///    route every phase's messages over the link graph and charge the
-///    bottleneck link;
+///    schedule of communication phases; quiet, its equal phases sum in
+///    closed form (`support::repeat_add`, bitwise the per-phase loop), and
+///    congested, every phase routes its messages over the link graph and
+///    charges the bottleneck link;
 ///  * a **fault/perturbation layer**: deterministic degraded links,
 ///    straggler ranks, and dropped-then-retried messages with exponential
 ///    backoff.
 ///
-/// **Equivalence guarantee (golden-gated):** with `config.congestion ==
-/// false` and no faults configured, every `Fabric` collective reproduces
-/// the corresponding `CommModel` cost to within 1e-9 relative error (the
-/// phase schedule re-derives the closed form as a sum over phases; only
-/// floating-point association differs). `tests/qa` property-tests this
-/// over random machines, group sizes, and message sizes.
+/// `tests/qa` property-tests the quiet path over random and catalog
+/// machines: bitwise against the per-phase loops, and to 1e-9 relative
+/// against the textbook LogGP formulas (only floating-point association
+/// differs).
 ///
 /// Units: all times are seconds, all sizes bytes, all bandwidths bytes/s.
 
@@ -35,7 +41,6 @@
 #include <vector>
 
 #include "arch/machine.hpp"
-#include "net/comm_model.hpp"
 #include "support/reduce.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -83,7 +88,7 @@ struct FaultConfig {
 struct FabricConfig {
   Topology topology = Topology::kFatTree;  ///< link-graph wiring pattern
   /// Model per-link bandwidth sharing under contention. Off (with no
-  /// faults), the fabric reduces exactly to the analytic CommModel.
+  /// faults), every cost is the analytic LogGP closed form.
   bool congestion = false;
   FaultConfig faults;  ///< perturbation layer (defaults to none)
   /// Number of simulated ranks that get their own trace lane
@@ -169,12 +174,10 @@ class FabricTopology {
   int global_base_ = 0;
 };
 
-/// Event-driven multi-rank network fabric. Construction mirrors
-/// `CommModel` (same machine/ranks-per-node/GPU-awareness inputs); the
-/// collective methods are drop-in signature-compatible with it, so a
-/// driver migrates by swapping the type. All returned costs are seconds.
+/// Event-driven multi-rank network fabric over one machine's interconnect.
+/// All returned costs are seconds.
 ///
-/// Thread safety: quiet-mode (analytic-reduction) cost queries are safe
+/// Thread safety: quiet-mode (closed-form) cost queries are safe
 /// to call concurrently. Event-driven collectives run their phases in
 /// parallel across the global ThreadPool *internally* and reuse a
 /// per-fabric scratch pool, so calls on the same Fabric must be
@@ -183,44 +186,54 @@ class FabricTopology {
 class Fabric {
  public:
   /// `ranks_per_node` simulated ranks share each node's injection
-  /// bandwidth; `gpu_aware` mirrors CommModel's host-staging behavior.
+  /// bandwidth; without `gpu_aware` every message end stages through the
+  /// host link.
   explicit Fabric(const arch::Machine& machine, int ranks_per_node,
                   FabricConfig config = {}, bool gpu_aware = true);
 
-  /// The calibrated analytic model the fabric reduces to (the fast path
-  /// for closed-form queries).
-  [[nodiscard]] const CommModel& analytic() const { return model_; }
   /// Build-time configuration.
   [[nodiscard]] const FabricConfig& config() const { return config_; }
   /// The link graph.
   [[nodiscard]] const FabricTopology& topology() const { return topo_; }
   /// Machine the fabric models.
-  [[nodiscard]] const arch::Machine& machine() const { return model_.machine(); }
+  [[nodiscard]] const arch::Machine& machine() const { return machine_; }
   /// Simulated ranks per node (count).
-  [[nodiscard]] int ranks_per_node() const { return model_.ranks_per_node(); }
+  [[nodiscard]] int ranks_per_node() const { return ranks_per_node_; }
   /// Total simulated ranks (count).
-  [[nodiscard]] int total_ranks() const { return model_.total_ranks(); }
+  [[nodiscard]] int total_ranks() const {
+    return machine_.node_count * ranks_per_node_;
+  }
   /// True when the event-driven engine is active (congestion on or any
-  /// fault configured); false means exact CommModel reduction.
+  /// fault configured); false means every cost is the LogGP closed form.
   [[nodiscard]] bool event_driven() const {
     return config_.congestion || config_.faults.any();
   }
 
-  // --- CommModel-compatible cost queries (seconds) ----------------------
+  /// Per-rank share of node injection bandwidth (bytes/s).
+  [[nodiscard]] double rank_bandwidth() const;
+  /// rank_bandwidth degraded by the bisection factor (global patterns).
+  [[nodiscard]] double rank_bandwidth_global() const;
+  /// Cost (seconds) of staging a `bytes`-sized device buffer through the
+  /// host on one message end; zero when GPU-aware or CPU-only.
+  [[nodiscard]] double staging_cost(double bytes) const;
+
+  // --- cost queries (seconds) -------------------------------------------
 
   /// Point-to-point message of `bytes` between ranks on different nodes
   /// (seconds).
   [[nodiscard]] double p2p(double bytes) const;
   /// Halo exchange of `bytes_per_face` with `faces` neighbors (seconds).
   [[nodiscard]] double halo_exchange(double bytes_per_face, int faces) const;
-  /// Allreduce of `bytes` over `ranks` ranks (seconds).
+  /// Allreduce of `bytes` over `ranks` ranks (Rabenseifner: reduce-scatter
+  /// + allgather) (seconds).
   [[nodiscard]] double allreduce(double bytes, int ranks) const;
   /// Personalized all-to-all of `bytes_per_pair` within `ranks` ranks
   /// (seconds).
   [[nodiscard]] double alltoall(double bytes_per_pair, int ranks) const;
-  /// Broadcast of `bytes` to `ranks` ranks (seconds).
+  /// Broadcast of `bytes` to `ranks` ranks (binomial tree, pipelined: the
+  /// volume is paid once, the latency per tree level) (seconds).
   [[nodiscard]] double bcast(double bytes, int ranks) const;
-  /// Barrier over `ranks` ranks (seconds).
+  /// Barrier over `ranks` ranks: latency-only tree (seconds).
   [[nodiscard]] double barrier(int ranks) const;
 
   // --- message transport (EventEngine substrate) ------------------------
@@ -246,7 +259,7 @@ class Fabric {
 
   /// Node hosting `rank` (block placement: rank / ranks_per_node).
   [[nodiscard]] int node_of_rank(int rank) const {
-    return rank / model_.ranks_per_node();
+    return rank / ranks_per_node_;
   }
   /// True when the fault layer marked `rank` a straggler.
   [[nodiscard]] bool is_straggler(int rank) const;
@@ -314,7 +327,9 @@ class Fabric {
                                    bool pairwise) const;
   void trace(const char* op, double bytes, int ranks, double cost) const;
 
-  CommModel model_;
+  arch::Machine machine_;
+  int ranks_per_node_;
+  bool gpu_aware_;
   FabricConfig config_;
   FabricTopology topo_;
   support::Rng drop_rng_;

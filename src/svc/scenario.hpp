@@ -67,8 +67,8 @@ struct Scenario {
   /// quiet default adds exactly zero time.
   std::string io_preset = "quiet";
 
-  /// Fabric knobs. Defaults reduce every app's network model to the
-  /// analytic CommModel exactly (the golden-stable baseline).
+  /// Fabric knobs. Defaults keep every app's network model on the quiet
+  /// fabric's LogGP closed forms (the golden-stable baseline).
   /// `topology` is the link-graph wiring ("fattree" | "dragonfly").
   std::string topology = "fattree";
   bool congestion = false;

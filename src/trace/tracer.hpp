@@ -83,8 +83,8 @@ class Tracer {
   void complete(std::string label, std::string track, SimTime sim_start_s,
                 double duration_s, std::string category = {});
   /// Places the span at the track's running cursor and advances the
-  /// cursor by `duration_s` — gives clock-less components (the analytic
-  /// CommModel) a self-consistent timeline of their own.
+  /// cursor by `duration_s` — gives clock-less components (the quiet
+  /// net::Fabric's cost queries) a self-consistent timeline of their own.
   void complete_at_cursor(std::string label, std::string track,
                           double duration_s, std::string category = {});
   void instant(std::string label, std::string track, SimTime sim_s = kNoSim,

@@ -372,7 +372,7 @@ TEST(EventEngine, WindowCountIsPinned) {
 
 TEST(EventEngine, ComputeHidesInFlightMessages) {
   Fabric fabric = engine_fabric(false, false);
-  const double msg_cost = fabric.analytic().p2p(1e6);
+  const double msg_cost = fabric.p2p(1e6);
   const double overhead = fabric.machine().network.per_message_overhead_s;
   std::vector<std::vector<RankOp>> programs(16);
   programs[0] = {RankOp::send(15, 1e6)};
@@ -386,7 +386,7 @@ TEST(EventEngine, ComputeHidesInFlightMessages) {
 
 TEST(EventEngine, WaitPaysUnhiddenTransferTime) {
   Fabric fabric = engine_fabric(false, false);
-  const double msg_cost = fabric.analytic().p2p(4e6);
+  const double msg_cost = fabric.p2p(4e6);
   const EngineResult r =
       run_both(fabric, {{RankOp::send(1, 4e6)}, {RankOp::recv(0)}});
   EXPECT_NEAR(r.clocks[1], msg_cost, msg_cost * 1e-9);  // nothing hidden

@@ -1,13 +1,18 @@
 /// Property tests of exa::net::Fabric using the qa core. The load-bearing
 /// guarantee is the golden gate's foundation: with congestion and faults
-/// off, every Fabric collective must match the calibrated CommModel closed
-/// form to 1e-9 relative over *random* machine configurations and message
-/// sizes, not just the catalog machines the unit tests pin. A second
-/// property drives the live fault layer and asserts retried messages never
-/// overtake earlier ones on the same (src, dst) channel.
+/// off, every Fabric cost is the LogGP closed form — bitwise equal to the
+/// per-phase loops it sums, and within 1e-9 relative of the textbook
+/// formulas — over *random* machine configurations and message sizes as
+/// well as the catalog machines. A further property drives the live fault
+/// layer and asserts retried messages never overtake earlier ones on the
+/// same (src, dst) channel.
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -41,44 +46,228 @@ double gen_bytes(Gen& g) {
   return std::pow(2.0, g.uniform(0.0, 30.0));
 }
 
-EXA_PROPERTY(FabricProps, QuietFabricMatchesCommModel) {
-  const arch::Machine machine = gen_machine(g);
-  const int rpn = static_cast<int>(g.size(1, 8));
-  const bool gpu_aware = g.chance(0.5);
-  net::FabricConfig config;
-  config.topology =
+/// A quiet fabric's inputs: one time in four a catalog machine (GPU and
+/// CPU-only nodes) with one rank per device, as the apps run it,
+/// otherwise a random machine with 1..8 ranks per node; either topology;
+/// GPU-aware MPI on or off.
+struct QuietCase {
+  arch::Machine machine;
+  int rpn = 1;
+  bool gpu_aware = true;
+  net::Topology topology = net::Topology::kFatTree;
+};
+
+QuietCase gen_quiet_case(Gen& g) {
+  QuietCase c;
+  if (g.chance(0.25)) {
+    const std::vector<arch::Machine> catalog = {
+        arch::machines::frontier(), arch::machines::summit(),
+        arch::machines::crusher(), arch::machines::spock(),
+        arch::machines::eagle()};
+    c.machine = g.pick(catalog);
+    c.rpn = std::max(1, c.machine.node.gpus_per_node);
+  } else {
+    c.machine = gen_machine(g);
+    c.rpn = static_cast<int>(g.size(1, 8));
+  }
+  c.gpu_aware = g.chance(0.5);
+  c.topology =
       g.chance(0.5) ? net::Topology::kFatTree : net::Topology::kDragonfly;
-  const net::Fabric fabric(machine, rpn, config, gpu_aware);
-  const net::CommModel model(machine, rpn, gpu_aware);
+  return c;
+}
 
-  const double bytes = gen_bytes(g);
-  const int max_ranks = std::min(fabric.total_ranks(), 65536);
-  const int ranks = static_cast<int>(
-      g.size(1, static_cast<std::size_t>(max_ranks)));
+/// One batch of cost queries: a message size (zero included), a group of
+/// up to 65536 ranks (small groups half the time) and 0..26 halo faces.
+struct Query {
+  double bytes = 0.0;
+  int ranks = 1;
+  int faces = 0;
+};
 
-  const auto check = [&](const char* op, double want, double got) {
-    const double scale = std::max(std::abs(want), 1e-300);
-    require(std::abs(got - want) / scale <= 1e-9,
-            std::string(op) + " drifted: model=" + std::to_string(want) +
-                " fabric=" + std::to_string(got) + " at ranks=" +
-                std::to_string(ranks) + " bytes=" + std::to_string(bytes));
-  };
-  check("p2p", model.p2p(bytes), fabric.p2p(bytes));
-  check("allreduce", model.allreduce(bytes, ranks),
-        fabric.allreduce(bytes, ranks));
-  check("alltoall", model.alltoall(bytes, ranks),
-        fabric.alltoall(bytes, ranks));
-  check("bcast", model.bcast(bytes, ranks), fabric.bcast(bytes, ranks));
-  check("barrier", model.barrier(ranks), fabric.barrier(ranks));
-  const int faces = static_cast<int>(g.size(1, 6));
-  check("halo", model.halo_exchange(bytes, faces),
-        fabric.halo_exchange(bytes, faces));
+Query gen_query(Gen& g, int total_ranks) {
+  Query q;
+  q.bytes = gen_bytes(g);
+  const auto max_ranks = static_cast<std::size_t>(std::min(total_ranks, 65536));
+  q.ranks = static_cast<int>(
+      g.size(1, g.chance(0.5) ? std::min<std::size_t>(max_ranks, 64)
+                              : max_ranks));
+  q.faces = static_cast<int>(g.size(0, 26));
+  return q;
+}
+
+constexpr std::array<const char*, 6> kOps = {
+    "p2p", "halo", "allreduce", "alltoall", "bcast", "barrier"};
+
+/// The six quiet cost queries of `model` (a Fabric or a test oracle).
+template <typename Model>
+std::array<double, 6> quiet_costs(const Model& model, const Query& q) {
+  return {model.p2p(q.bytes), model.halo_exchange(q.bytes, q.faces),
+          model.allreduce(q.bytes, q.ranks), model.alltoall(q.bytes, q.ranks),
+          model.bcast(q.bytes, q.ranks), model.barrier(q.ranks)};
+}
+
+/// LogGP inputs of one machine as the quiet fabric reads them: latency L,
+/// overhead o, per-rank bandwidth B (B_g under the bisection taper) and
+/// the host-staging cost of one message end.
+struct LogGPTerms {
+  LogGPTerms(const arch::Machine& m, int rpn, bool gpu_aware)
+      : L(m.network.latency_s),
+        o(m.network.per_message_overhead_s),
+        bw(m.network.node_injection_bandwidth() / static_cast<double>(rpn)),
+        bwg(bw * m.network.bisection_factor),
+        staged(!gpu_aware && m.node.has_gpu()),
+        host_link(staged ? m.node.gpu->host_link : arch::HostLink{}) {}
+
+  [[nodiscard]] double staging(double bytes) const {
+    return staged ? host_link.latency_s + bytes / host_link.bandwidth_bytes_per_s
+                  : 0.0;
+  }
+  [[nodiscard]] static double log2_ceil(int n) {
+    return std::ceil(std::log2(static_cast<double>(n)));
+  }
+
+  double L, o, bw, bwg;
+  bool staged;
+  arch::HostLink host_link;
+};
+
+/// The textbook closed forms: a message costs L + o + m/B plus staging at
+/// both ends; Rabenseifner allreduce, pairwise alltoall, pipelined
+/// binomial bcast, latency-only barrier.
+struct TextbookLogGP : LogGPTerms {
+  using LogGPTerms::LogGPTerms;
+
+  [[nodiscard]] double p2p(double m) const {
+    return L + o + m / bw + 2.0 * staging(m);
+  }
+  [[nodiscard]] double halo_exchange(double m, int faces) const {
+    return faces * p2p(m);
+  }
+  [[nodiscard]] double allreduce(double m, int p) const {
+    if (p == 1) return 0.0;
+    return 2.0 * log2_ceil(p) * (L + o) +
+           2.0 * m * (static_cast<double>(p - 1) / p) / bwg + 2.0 * staging(m);
+  }
+  [[nodiscard]] double alltoall(double m, int p) const {
+    if (p == 1) return 0.0;
+    const double peers = p - 1;
+    return peers * o + L + peers * m / bwg + 2.0 * staging(peers * m);
+  }
+  [[nodiscard]] double bcast(double m, int p) const {
+    if (p == 1) return 0.0;
+    return log2_ceil(p) * (L + o) + m / bwg + 2.0 * staging(m);
+  }
+  [[nodiscard]] double barrier(int p) const {
+    return p == 1 ? 0.0 : 2.0 * log2_ceil(p) * (L + o);
+  }
+};
+
+/// The oracle for the closed-form phase sums: the quiet Fabric as it
+/// priced collectives one `+=` per phase (p - 1 ring phases per alltoall,
+/// one per tree step or halo face), in the same operation order. p2p has
+/// no phases and is the textbook one.
+struct PhaseLoops : TextbookLogGP {
+  using TextbookLogGP::TextbookLogGP;
+
+  [[nodiscard]] double halo_exchange(double m, int faces) const {
+    const double fixed = L + o + 2.0 * staging(m);
+    double cost = 0.0;
+    for (int f = 0; f < faces; ++f) cost += fixed + m / bw;
+    return cost;
+  }
+  [[nodiscard]] double tree(double volume, int steps) const {
+    const double per_phase = steps > 0 ? volume / steps : 0.0;
+    double sum = 0.0;
+    for (int j = 0; j < steps; ++j) sum += per_phase / bwg;
+    return sum;
+  }
+  [[nodiscard]] double allreduce(double m, int p) const {
+    if (p == 1) return 0.0;
+    const double steps = 2.0 * log2_ceil(p);
+    const double volume = 2.0 * m * (static_cast<double>(p - 1) / p);
+    return steps * (L + o) + tree(volume, static_cast<int>(steps)) +
+           2.0 * staging(m);
+  }
+  [[nodiscard]] double alltoall(double m, int p) const {
+    if (p == 1) return 0.0;
+    const double peers = p - 1;
+    double ring = 0.0;
+    for (int k = 0; k < p - 1; ++k) ring += m / bwg;
+    return peers * o + L + ring + 2.0 * staging(peers * m);
+  }
+  [[nodiscard]] double bcast(double m, int p) const {
+    if (p == 1) return 0.0;
+    const double steps = log2_ceil(p);
+    return steps * (L + o) + tree(m, static_cast<int>(steps)) +
+           2.0 * staging(m);
+  }
+  [[nodiscard]] double barrier(int p) const {
+    if (p == 1) return 0.0;
+    const int steps = static_cast<int>(2.0 * log2_ceil(p));
+    return steps * (L + o) + tree(0.0, steps);
+  }
+};
+
+/// `%.17g`: enough digits to tell two doubles apart.
+std::string exact(double x) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", x);
+  return buf;
+}
+
+/// Queries per generated fabric: a topology build costs far more than a
+/// cost query, so each machine answers a batch.
+constexpr int kQueriesPerFabric = 16;
+
+/// Checks `kQueriesPerFabric` random queries of one random quiet fabric
+/// against `Oracle`, with `same(want, got)` deciding agreement.
+template <typename Oracle, typename Same>
+void check_quiet_fabric(Gen& g, const Same& same, const char* oracle) {
+  const QuietCase c = gen_quiet_case(g);
+  net::FabricConfig config;
+  config.topology = c.topology;
+  const net::Fabric fabric(c.machine, c.rpn, config, c.gpu_aware);
+  const Oracle model(c.machine, c.rpn, c.gpu_aware);
+  for (int i = 0; i < kQueriesPerFabric; ++i) {
+    const Query q = gen_query(g, fabric.total_ranks());
+    const auto want = quiet_costs(model, q);
+    const auto got = quiet_costs(fabric, q);
+    for (std::size_t op = 0; op < kOps.size(); ++op) {
+      require(same(want[op], got[op]),
+              std::string(kOps[op]) + " drifted from the " + oracle +
+                  ": want=" + exact(want[op]) + " fabric=" + exact(got[op]) +
+                  " on " + c.machine.name + " rpn=" + std::to_string(c.rpn) +
+                  " ranks=" + std::to_string(q.ranks) +
+                  " bytes=" + exact(q.bytes) +
+                  " faces=" + std::to_string(q.faces));
+    }
+  }
+}
+
+EXA_PROPERTY(FabricProps, QuietFabricMatchesPhaseLoops) {
+  check_quiet_fabric<PhaseLoops>(
+      g,
+      [](double want, double got) {
+        return std::bit_cast<std::uint64_t>(want) ==
+               std::bit_cast<std::uint64_t>(got);
+      },
+      "per-phase loops");
+}
+
+EXA_PROPERTY(FabricProps, QuietFabricMatchesCommModel) {
+  check_quiet_fabric<TextbookLogGP>(
+      g,
+      [](double want, double got) {
+        const double scale = std::max(std::abs(want), 1e-300);
+        return std::abs(got - want) / scale <= 1e-9;
+      },
+      "textbook LogGP formulas");
 }
 
 /// The 1e-9 analytic-equivalence gate extended to the event engine: with
 /// congestion and faults off, every message the engine records must cost
 /// exactly the p2p closed form (delivered - posted == fabric.p2p(bytes),
-/// itself pinned to the CommModel by the property above), and the
+/// itself pinned to the textbook formula by the properties above), and the
 /// conservative-lookahead parallel engine must be bitwise identical to
 /// the serial event loop on the same random machine and program.
 EXA_PROPERTY(FabricProps, QuietEngineMatchesClosedFormAndSerial) {
