@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "io/checkpoint.hpp"
 #include "support/assert.hpp"
 
 namespace exa::apps::lammps {
@@ -133,15 +132,6 @@ BondList build_bond_list(const System& sys, double bond_cutoff) {
     bonds.partners.insert(bonds.partners.end(), adj[i].begin(), adj[i].end());
   }
   return bonds;
-}
-
-double simulate_restart_time(std::size_t atoms_per_rank, int ranks,
-                             const io::IoConfig& io, double bytes_per_atom) {
-  EXA_REQUIRE(ranks >= 1);
-  EXA_REQUIRE(bytes_per_atom > 0.0);
-  const double bytes_per_rank =
-      static_cast<double>(atoms_per_rank) * bytes_per_atom;
-  return io::checkpoint_time(io, ranks, bytes_per_rank);
 }
 
 }  // namespace exa::apps::lammps

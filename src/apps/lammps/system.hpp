@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "io/io_model.hpp"
 #include "support/rng.hpp"
 
 namespace exa::apps::lammps {
@@ -83,15 +82,5 @@ struct BondList {
 };
 
 [[nodiscard]] BondList build_bond_list(const System& sys, double bond_cutoff);
-
-/// Simulated wall time of one restart dump: every rank writes its
-/// `atoms_per_rank * bytes_per_atom` slice (positions, velocities, charges,
-/// bond topology) through the storage model as a collective checkpoint.
-/// The default quiet `io` config returns exactly 0.0; a Lustre-like config
-/// prices the §3.10-era campaigns' restart cadence.
-[[nodiscard]] double simulate_restart_time(std::size_t atoms_per_rank,
-                                           int ranks,
-                                           const io::IoConfig& io = {},
-                                           double bytes_per_atom = 96.0);
 
 }  // namespace exa::apps::lammps

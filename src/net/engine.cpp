@@ -1,6 +1,7 @@
 #include "net/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <string>
@@ -54,9 +55,11 @@ std::int64_t EngineResult::total_retries() const {
   return total;
 }
 
-EventEngine::EventEngine(Fabric& fabric,
+EventEngine::EventEngine(const Fabric& fabric,
                          std::vector<std::vector<RankOp>> programs)
-    : fabric_(fabric), programs_(std::move(programs)) {
+    : fabric_(fabric),
+      link_cursor_(fabric.link_count(), 0.0),
+      programs_(std::move(programs)) {
   EXA_REQUIRE_MSG(!programs_.empty(), "EventEngine needs at least one rank");
   EXA_REQUIRE_MSG(
       static_cast<int>(programs_.size()) <= fabric_.total_ranks(),
@@ -103,10 +106,18 @@ double EventEngine::lookahead_s() const {
   return net.latency_s + net.per_message_overhead_s;
 }
 
+EventEngine::SendIntent EventEngine::make_intent(const RankState& state,
+                                                 int rank,
+                                                 const RankOp& op) const {
+  return {state.clock, send_id(state, rank), rank, op.peer, op.tag, op.value,
+          fabric_.path(rank, op.peer, op.value)};
+}
+
 void EventEngine::build_pairing() {
   const std::size_t n = programs_.size();
   // Every send, bucketed by destination in (src, program order) — a
-  // counting sort, so ids within a bucket ascend.
+  // counting sort, so ids within a bucket ascend and a send's channel
+  // predecessor is the bucket entry before it, if from the same source.
   struct Endpoint {
     int peer = 0;  ///< the other rank of the channel
     int tag = 0;
@@ -130,14 +141,19 @@ void EventEngine::build_pairing() {
   }
   for (std::size_t d = 0; d < n; ++d) bucket[d + 1] += bucket[d];
   std::vector<Endpoint> sends(bucket[n]);
+  prev_send_.assign(bucket[n], -1);
   {
     std::vector<std::size_t> cursor(bucket.begin(), bucket.end() - 1);
     int id = 0;
     for (std::size_t src = 0; src < n; ++src) {
       for (const RankOp& op : programs_[src]) {
         if (op.kind != RankOp::Kind::kSend) continue;
-        sends[cursor[static_cast<std::size_t>(op.peer)]++] = {
-            static_cast<int>(src), op.tag, id++};
+        const auto dst = static_cast<std::size_t>(op.peer);
+        const std::size_t at = cursor[dst]++;
+        if (at > bucket[dst] && sends[at - 1].peer == static_cast<int>(src)) {
+          prev_send_[static_cast<std::size_t>(id)] = sends[at - 1].index;
+        }
+        sends[at] = {static_cast<int>(src), op.tag, id++};
       }
     }
   }
@@ -178,7 +194,8 @@ void EventEngine::reset_run(EngineResult& result) {
   states_.assign(programs_.size(), RankState{});
   awaited_.assign(programs_.size(), -1);
   delivered_s_.assign(static_cast<std::size_t>(send_base_.back()), -1.0);
-  fabric_.reset_transport();
+  std::fill(link_cursor_.begin(), link_cursor_.end(), 0.0);
+  drop_rng_.reseed(fabric_.config().faults.seed);
   trace_lanes_ = trace::Tracer::instance().enabled()
                      ? std::min(fabric_.config().trace_rank_lanes, ranks())
                      : 0;
@@ -201,26 +218,49 @@ void EventEngine::finish_run(EngineResult& result) const {
 
 double EventEngine::apply_send(const SendIntent& intent,
                                EngineResult& result) {
-  const Fabric::Transfer tr =
-      fabric_.transfer(intent.src, intent.dst, intent.bytes, intent.post_s);
-  MessageRecord record;
-  record.src = intent.src;
-  record.dst = intent.dst;
-  record.tag = intent.tag;
-  record.bytes = intent.bytes;
-  record.posted_s = intent.post_s;
-  record.delivered_s = tr.delivered_s;
-  record.retries = tr.retries;
-  result.messages.push_back(record);
-  delivered_s_[static_cast<std::size_t>(intent.id)] = tr.delivered_s;
+  const auto& net = fabric_.machine().network;
+  const FaultConfig& faults = fabric_.config().faults;
+  double t = intent.post_s + net.per_message_overhead_s;
+  double finish = 0.0;
+  int retries = 0;
+  while (true) {
+    // Virtual-circuit occupancy: the message claims every link of its path
+    // from the latest cursor and serializes at the slowest link.
+    double begin = t;
+    for (const int link : intent.path.links) {
+      begin = std::max(begin, link_cursor_[static_cast<std::size_t>(link)]);
+    }
+    finish = begin + intent.path.serial_s;
+    for (const int link : intent.path.links) {
+      link_cursor_[static_cast<std::size_t>(link)] = finish;
+    }
+    if (faults.drop_probability <= 0.0 || retries >= faults.max_retries ||
+        !drop_rng_.bernoulli(faults.drop_probability)) {
+      break;
+    }
+    // Lost: the link time was spent; back off base * 2^retries (ldexp is
+    // exact past 63, where a 64-bit shift is undefined) and re-inject.
+    t = finish + std::ldexp(faults.backoff_base_s, retries);
+    ++retries;
+  }
+  double delivered = finish + net.latency_s + intent.path.staging_s;
+  // FIFO channel semantics: a retried message delays everything behind it
+  // on the same (src, dst) channel rather than being overtaken.
+  const int prev = prev_send_[static_cast<std::size_t>(intent.id)];
+  if (prev >= 0) {
+    delivered =
+        std::max(delivered, delivered_s_[static_cast<std::size_t>(prev)]);
+  }
+  result.messages.push_back({intent.src, intent.dst, intent.tag, intent.bytes,
+                             intent.post_s, delivered, retries});
+  delivered_s_[static_cast<std::size_t>(intent.id)] = delivered;
   if (traced(intent.src)) {
     trace::Tracer::instance().complete(
         "isend->r" + std::to_string(intent.dst) + " " +
             support::format_bytes(static_cast<std::uint64_t>(intent.bytes)),
-        lane(intent.src), intent.post_s, tr.delivered_s - intent.post_s,
-        "net");
+        lane(intent.src), intent.post_s, delivered - intent.post_s, "net");
   }
-  return tr.delivered_s;
+  return delivered;
 }
 
 void EventEngine::run_compute(RankState& state, int rank,
@@ -368,13 +408,7 @@ EngineResult EventEngine::run_serial() {
         run_compute(st, rank, op.value);
         break;
       case RankOp::Kind::kSend: {
-        SendIntent intent;
-        intent.post_s = st.clock;
-        intent.id = send_id(st, rank);
-        intent.src = rank;
-        intent.dst = op.peer;
-        intent.tag = op.tag;
-        intent.bytes = op.value;
+        const SendIntent intent = make_intent(st, rank, op);
         ++st.sends;
         apply_send(intent, result);
         st.clock += overhead;
@@ -500,14 +534,8 @@ EngineResult EventEngine::run_parallel(support::ThreadPool* pool) {
               if (op.kind == RankOp::Kind::kCompute) {
                 run_compute(st, rank, op.value);
               } else if (op.kind == RankOp::Kind::kSend) {
-                SendIntent intent;
-                intent.post_s = st.clock;
-                intent.id = send_id(st, rank);
-                intent.src = rank;
-                intent.dst = op.peer;
-                intent.tag = op.tag;
-                intent.bytes = op.value;
-                intents.push_back(intent);
+                // The path is pure, so it is priced here, off the barrier.
+                intents.push_back(make_intent(st, rank, op));
                 ++st.sends;
                 st.clock += overhead;
               } else if (op.kind == RankOp::Kind::kRecv) {
@@ -530,7 +558,7 @@ EngineResult EventEngine::run_parallel(support::ThreadPool* pool) {
         },
         grain);
 
-    // --- barrier: merge the chunks' sends in serial order ---------------
+    // --- barrier: apply the chunks' sends in serial order ---------------
     heads.clear();
     for (std::size_t c = 0; c < slots; ++c) {
       if (chunk_intents[c].empty()) continue;

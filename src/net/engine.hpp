@@ -19,8 +19,16 @@
 /// slow compute (never wires), and delivery order per (src, dst) channel is
 /// preserved.
 ///
-/// The lookahead invariant (DESIGN.md §13): only sends mutate fabric
-/// state, and `Fabric::transfer` guarantees
+/// The engine owns all transport state, the `Fabric` is read-only: per
+/// run, a busy-until cursor per link, the drop RNG and each send's
+/// delivery. A send's `Fabric::path` depends on no earlier traffic, so the
+/// parallel pass computes it; applying the send is the order-dependent
+/// rest: claim the path's links from their cursors, draw drops and back
+/// off, and clamp the delivery to the previous send's on the same
+/// (src, dst) channel, of any tag — a static predecessor per send id.
+///
+/// The lookahead invariant (DESIGN.md §13): only sends mutate transport
+/// state, and an applied send is delivered at
 ///
 ///     delivered >= posted + per_message_overhead_s + latency_s
 ///                = posted + delta,
@@ -35,19 +43,20 @@
 /// drop-RNG draws, and FIFO channel clamps, hence identical delivered
 /// times, clocks, and message records.
 ///
-/// Receives never touch the fabric, and their matching is static: the
-/// k-th recv on a (src, dst, tag) channel pairs with the k-th send on it
-/// in src's program order. Each engine computes that pairing once, on its
-/// first run, as a flat recv -> global send id table; a run only records
-/// each send's delivery time under its id when the send is applied. A recv
-/// whose paired send has not been applied blocks its rank, and only that
-/// send can wake it. Matching is consequently timing-independent.
+/// Receives never touch transport state, and their matching is static:
+/// the k-th recv on a (src, dst, tag) channel pairs with the k-th send on
+/// it in src's program order. Each engine computes that pairing once, on
+/// its first run, as a flat recv -> global send id table (with the
+/// channel predecessors); a run only records each send's delivery time
+/// under its id when the send is applied. A recv whose paired send has not
+/// been applied blocks its rank, and only that send can wake it. Matching
+/// is consequently timing-independent.
 ///
 /// The parallel loop has no serial per-rank pass in steady state. Each
 /// chunk of ranks runs to the horizon, sorts its own send intents by
 /// (post time, rank, program order) and records its minimum next-event
 /// time, live count and collective count in its own slot. The barrier
-/// k-way merges the chunk lists into the fabric and adds, per applied
+/// k-way merges and applies the chunk lists and adds, per applied
 /// send, the wake-up time of a receiver blocked on exactly that send; the
 /// next window starts at the minimum over slots and wake-ups. Only the
 /// first window and the one after each collective rescan every rank.
@@ -69,6 +78,7 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace exa::net {
@@ -135,16 +145,17 @@ struct EngineResult {
 
 /// Runs per-rank programs to completion over one `Fabric`.
 ///
-/// Thread safety: one engine drives one fabric; runs must be externally
-/// serialized (each run resets the fabric transport state first).
+/// Thread safety: runs of one engine must be externally serialized (each
+/// resets the engine's transport state first). Engines on different threads
+/// may share one `Fabric`, which they only read.
 class EventEngine {
  public:
   /// One program per rank; `programs.size()` must not exceed
   /// `fabric.total_ranks()` or 2^21, and the programs together may hold at
   /// most INT_MAX sends. Send/recv peers must index a program and tags must
   /// lie in [0, 2^21). The constructor only validates; the send/recv
-  /// pairing is built on the first run.
-  EventEngine(Fabric& fabric, std::vector<std::vector<RankOp>> programs);
+  /// pairing is built on the first run. `fabric` must outlive the engine.
+  EventEngine(const Fabric& fabric, std::vector<std::vector<RankOp>> programs);
 
   /// Number of simulated ranks (count).
   [[nodiscard]] int ranks() const { return static_cast<int>(programs_.size()); }
@@ -186,6 +197,7 @@ class EventEngine {
     int dst = 0;
     int tag = 0;
     double bytes = 0.0;
+    Fabric::Path path;  ///< the send's cursor-independent part
   };
 
   /// One chunk's view of its ranks' next events, written by the chunk.
@@ -205,7 +217,10 @@ class EventEngine {
     return send_base_[static_cast<std::size_t>(rank)] +
            static_cast<int>(state.sends);
   }
-  /// Builds `pair_`: recv -> paired global send id, -1 when none.
+  /// The intent of `rank`'s next op, a send of `op`, posted now.
+  [[nodiscard]] SendIntent make_intent(const RankState& state, int rank,
+                                       const RankOp& op) const;
+  /// Builds `pair_` and `prev_send_`.
   void build_pairing();
   /// Delivery time (seconds) of the send the next recv of `state` (of
   /// `rank`) pairs with; negative while that send is unapplied or when no
@@ -216,8 +231,8 @@ class EventEngine {
   [[nodiscard]] Next next_event(int rank, double& key);
   /// Classifies ranks [lo, hi) into `scan`.
   void scan_ranks(std::size_t lo, std::size_t hi, ChunkScan& scan);
-  /// Applies one send to the fabric, records the message and its delivery
-  /// time; returns the delivery time (seconds).
+  /// Applies one send to the transport state, records the message and its
+  /// delivery time; returns the delivery time (seconds).
   double apply_send(const SendIntent& intent, EngineResult& result);
   /// Runs a compute op of `seconds` (straggler-scaled) on `rank`.
   void run_compute(RankState& state, int rank, double seconds) const;
@@ -229,7 +244,9 @@ class EventEngine {
   void reset_run(EngineResult& result);
   void finish_run(EngineResult& result) const;
 
-  Fabric& fabric_;
+  const Fabric& fabric_;
+  /// Per fabric link: the virtual time it is busy until (seconds).
+  std::vector<double> link_cursor_;
   std::vector<std::vector<RankOp>> programs_;
   /// First global send id / recv index of each rank; one extra entry holds
   /// the totals.
@@ -238,6 +255,9 @@ class EventEngine {
   /// Paired send id of every recv (indexed `recv_base_[rank] + recvs`), -1
   /// when no send ever matches it. Empty until the first run.
   std::vector<int> pair_;
+  /// Per send id: the previous send on the same (src, dst), any tag, else
+  /// -1. Its delivery is the send's FIFO clamp. Empty until the first run.
+  std::vector<int> prev_send_;
   bool paired_ = false;
   std::vector<RankState> states_;
   /// Delivery time of each send id this run; negative until applied.
@@ -245,6 +265,8 @@ class EventEngine {
   /// Per rank: the send id its current recv is blocked on, else -1. Set
   /// whenever the rank is classified, so a send wakes only its receiver.
   std::vector<int> awaited_;
+  /// The fault layer's drop draws, in send application order.
+  support::Rng drop_rng_;
   /// Ranks below this get trace lanes (0 when the tracer is off at run
   /// start).
   int trace_lanes_ = 0;

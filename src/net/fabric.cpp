@@ -5,6 +5,7 @@
 
 #include "support/assert.hpp"
 #include "support/repeat_add.hpp"
+#include "support/rng.hpp"
 #include "support/units.hpp"
 #include "trace/tracer.hpp"
 
@@ -97,18 +98,12 @@ FabricTopology::FabricTopology(const arch::Machine& machine, Topology kind)
   }
 }
 
-int FabricTopology::injection_link(int node) const { return node; }
-
-int FabricTopology::ejection_link(int node) const {
-  return node_count_ + node;
-}
-
-void FabricTopology::route(int src_node, int dst_node,
-                           std::vector<int>& out) const {
+Route FabricTopology::route(int src_node, int dst_node) const {
   EXA_REQUIRE(src_node >= 0 && src_node < node_count_);
   EXA_REQUIRE(dst_node >= 0 && dst_node < node_count_);
-  if (src_node == dst_node) return;
-  out.push_back(injection_link(src_node));
+  Route out;
+  if (src_node == dst_node) return out;
+  out.push_back(src_node);  // injection link
   const int ls = switch_of(src_node);
   const int ld = switch_of(dst_node);
   if (ls != ld) {
@@ -125,7 +120,8 @@ void FabricTopology::route(int src_node, int dst_node,
   } else if (kind_ == Topology::kDragonfly) {
     out.push_back(local_base_ + ls);
   }
-  out.push_back(ejection_link(dst_node));
+  out.push_back(node_count_ + dst_node);  // ejection link
+  return out;
 }
 
 void FabricTopology::degrade_links(double fraction, std::uint64_t seed) {
@@ -146,9 +142,9 @@ Fabric::Fabric(const arch::Machine& machine, int ranks_per_node,
     : machine_(machine),
       ranks_per_node_(ranks_per_node),
       gpu_aware_(gpu_aware),
-      config_(config),
-      topo_(machine, config.topology),
-      drop_rng_(config.faults.seed) {
+      config_(config) {
+  EXA_REQUIRE(machine_.node_count >= 1);
+  EXA_REQUIRE(machine_.network.node_injection_bandwidth() > 0.0);
   EXA_REQUIRE(ranks_per_node_ >= 1);
   EXA_REQUIRE(config_.faults.degrade_factor > 0.0 &&
               config_.faults.degrade_factor <= 1.0);
@@ -160,29 +156,26 @@ Fabric::Fabric(const arch::Machine& machine, int ranks_per_node,
   // posted + latency + overhead, breaking EventEngine's lookahead bound.
   EXA_REQUIRE(std::isfinite(config_.faults.backoff_base_s) &&
               config_.faults.backoff_base_s >= 0.0);
+  EXA_REQUIRE(config_.faults.degraded_link_fraction >= 0.0 &&
+              config_.faults.degraded_link_fraction <= 1.0);
   EXA_REQUIRE(config_.max_sampled_phases >= 1);
-  topo_.degrade_links(config_.faults.degraded_link_fraction,
-                      config_.faults.seed);
-  link_cursor_.assign(topo_.links().size(), 0.0);
+  rank_bw_ = machine_.network.node_injection_bandwidth() /
+             static_cast<double>(ranks_per_node_);
+  rank_bw_global_ = rank_bw_ * machine_.network.bisection_factor;
+  if (!event_driven()) return;  // quiet: no cost query reads the graph
+  topo_.emplace(machine_, config_.topology);
+  topo_->degrade_links(config_.faults.degraded_link_fraction,
+                       config_.faults.seed);
 }
 
 std::vector<Fabric::PhaseScratch>& Fabric::ensure_scratch(
     std::size_t count) const {
   if (phase_scratch_.size() < count) phase_scratch_.resize(count);
-  const std::size_t links = topo_.links().size();
+  const std::size_t links = link_count();
   for (auto& slot : phase_scratch_) {
     if (slot.load.size() != links) slot.load.assign(links, 0.0);
   }
   return phase_scratch_;
-}
-
-double Fabric::rank_bandwidth() const {
-  return machine_.network.node_injection_bandwidth() /
-         static_cast<double>(ranks_per_node_);
-}
-
-double Fabric::rank_bandwidth_global() const {
-  return rank_bandwidth() * machine_.network.bisection_factor;
 }
 
 double Fabric::staging_cost(double bytes) const {
@@ -215,9 +208,7 @@ void Fabric::load_message(PhaseScratch& scratch, int src_rank, int dst_rank,
   const int sn = node_of_rank(src_rank);
   const int dn = node_of_rank(dst_rank);
   if (sn == dn) return;
-  scratch.route.clear();
-  topo_.route(sn, dn, scratch.route);
-  for (const int link : scratch.route) {
+  for (const int link : topo_->route(sn, dn)) {
     if (scratch.load[static_cast<std::size_t>(link)] == 0.0) {
       scratch.touched.push_back(link);
     }
@@ -230,7 +221,7 @@ double Fabric::drain_loads(PhaseScratch& scratch) const {
   const double degrade = config_.faults.degrade_factor;
   for (const int link : scratch.touched) {
     const double bw =
-        topo_.links()[static_cast<std::size_t>(link)].effective_bandwidth(
+        topo_->links()[static_cast<std::size_t>(link)].effective_bandwidth(
             degrade);
     worst = std::max(worst,
                      scratch.load[static_cast<std::size_t>(link)] / bw);
@@ -437,78 +428,27 @@ double Fabric::barrier(int ranks) const {
   return cost;
 }
 
-Fabric::Transfer Fabric::transfer(int src_rank, int dst_rank, double bytes,
-                                  double start_s) {
+Fabric::Path Fabric::path(int src_rank, int dst_rank, double bytes) const {
   EXA_REQUIRE(bytes >= 0.0);
-  EXA_REQUIRE(start_s >= 0.0);
   EXA_REQUIRE(src_rank >= 0 && src_rank < total_ranks());
   EXA_REQUIRE(dst_rank >= 0 && dst_rank < total_ranks());
-  const auto& net = machine().network;
-  const auto& faults = config_.faults;
-  const double staging = 2.0 * staging_cost(bytes);
-  const double analytic_serial = bytes / rank_bandwidth();
-
-  const int sn = node_of_rank(src_rank);
-  const int dn = node_of_rank(dst_rank);
-  std::vector<int>& route = ensure_scratch(1)[0].route;
-  route.clear();
-  if (event_driven()) topo_.route(sn, dn, route);
-
-  Transfer out;
-  double t = start_s + net.per_message_overhead_s;
-  for (int attempt = 0;; ++attempt) {
-    double finish;
-    if (route.empty()) {
-      // Same-node traffic or analytic mode: closed-form serialization.
-      finish = t + analytic_serial;
-    } else {
-      // Virtual-circuit occupancy: the message claims every link of its
-      // path from the latest cursor and serializes at the slowest link.
-      double begin = t;
-      double serial = 0.0;
-      for (const int link : route) {
-        begin = std::max(begin, link_cursor_[static_cast<std::size_t>(link)]);
-        const double bw =
-            topo_.links()[static_cast<std::size_t>(link)].effective_bandwidth(
-                faults.degrade_factor);
-        serial = std::max(serial, bytes / bw);
-      }
-      finish = begin + serial;
-      for (const int link : route) {
-        link_cursor_[static_cast<std::size_t>(link)] = finish;
-      }
-    }
-    if (faults.drop_probability > 0.0 && attempt < faults.max_retries &&
-        drop_rng_.bernoulli(faults.drop_probability)) {
-      // Lost in the fabric: the payload's link time was spent, the
-      // sender backs off exponentially and re-injects.
-      out.retries += 1;
-      // ldexp is exact: base * 2^attempt for any retry budget (a 64-bit
-      // shift would be undefined past attempt 63).
-      t = finish + std::ldexp(faults.backoff_base_s, attempt);
-      continue;
-    }
-    double delivered = finish + net.latency_s + staging;
-    // FIFO channel semantics: a retried message delays everything behind
-    // it on the same (src, dst) channel rather than being overtaken.
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_rank))
-         << 32) |
-        static_cast<std::uint32_t>(dst_rank);
-    auto [it, inserted] = channel_last_.try_emplace(key, delivered);
-    if (!inserted) {
-      delivered = std::max(delivered, it->second);
-      it->second = delivered;
-    }
-    out.delivered_s = delivered;
+  Path out;
+  out.staging_s = 2.0 * staging_cost(bytes);  // D2H sender, H2D receiver
+  if (topo_) {
+    out.links = topo_->route(node_of_rank(src_rank), node_of_rank(dst_rank));
+  }
+  if (out.links.empty()) {
+    // Same-node traffic or quiet fabric: closed-form serialization.
+    out.serial_s = bytes / rank_bandwidth();
     return out;
   }
-}
-
-void Fabric::reset_transport() {
-  std::fill(link_cursor_.begin(), link_cursor_.end(), 0.0);
-  channel_last_.clear();
-  drop_rng_.reseed(config_.faults.seed);
+  for (const int link : out.links) {
+    const double bw =
+        topo_->links()[static_cast<std::size_t>(link)].effective_bandwidth(
+            config_.faults.degrade_factor);
+    out.serial_s = std::max(out.serial_s, bytes / bw);
+  }
+  return out;
 }
 
 }  // namespace exa::net

@@ -36,13 +36,13 @@
 ///
 /// Units: all times are seconds, all sizes bytes, all bandwidths bytes/s.
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "arch/machine.hpp"
 #include "support/reduce.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace exa::net {
@@ -123,6 +123,22 @@ struct FabricLink {
   }
 };
 
+/// Link ids of one minimal path, in hop order. A path has at most five
+/// links: a dragonfly inter-group hop is injection, local, global, local,
+/// ejection.
+class Route {
+ public:
+  void push_back(int link) { ids_[size_++] = link; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const int* begin() const { return ids_.data(); }
+  [[nodiscard]] const int* end() const { return ids_.data() + size_; }
+
+ private:
+  std::array<int, 5> ids_{};
+  std::uint32_t size_ = 0;
+};
+
 /// The link graph for one machine: builds the wiring and answers routing
 /// queries (`route`) as lists of link ids. Paths are minimal and
 /// deterministic (static routing — aligned traffic *does* hotspot, which
@@ -145,9 +161,9 @@ class FabricTopology {
   /// All links, indexable by the ids `route` emits.
   [[nodiscard]] const std::vector<FabricLink>& links() const { return links_; }
 
-  /// Appends the link ids of the (minimal, static) path from `src_node`
-  /// to `dst_node` onto `out`. Same-node traffic appends nothing.
-  void route(int src_node, int dst_node, std::vector<int>& out) const;
+  /// The link ids of the (minimal, static) path from `src_node` to
+  /// `dst_node`. Same-node traffic has none.
+  [[nodiscard]] Route route(int src_node, int dst_node) const;
 
   /// Leaf switch / group of a node.
   [[nodiscard]] int switch_of(int node) const {
@@ -159,9 +175,6 @@ class FabricTopology {
   void degrade_links(double fraction, std::uint64_t seed);
 
  private:
-  [[nodiscard]] int injection_link(int node) const;
-  [[nodiscard]] int ejection_link(int node) const;
-
   Topology kind_;
   int node_count_ = 0;
   int nodes_per_switch_ = 0;
@@ -177,12 +190,14 @@ class FabricTopology {
 /// Event-driven multi-rank network fabric over one machine's interconnect.
 /// All returned costs are seconds.
 ///
-/// Thread safety: quiet-mode (closed-form) cost queries are safe
-/// to call concurrently. Event-driven collectives run their phases in
-/// parallel across the global ThreadPool *internally* and reuse a
-/// per-fabric scratch pool, so calls on the same Fabric must be
-/// externally serialized — as must `transfer()`, which additionally
-/// mutates link cursors and the drop RNG (`EventEngine` owns exactly that).
+/// It holds no transport state: link cursors, the drop RNG and FIFO
+/// channel order are `EventEngine`'s, which reads each message's `path`
+/// here. Only an event-driven fabric builds the link graph.
+///
+/// Thread safety: quiet cost queries, `path` and `straggler_scale` are
+/// safe to call concurrently, so engines may share one `const Fabric`.
+/// Event-driven collectives reuse a per-fabric phase scratch, so those
+/// calls on the same Fabric must be externally serialized.
 class Fabric {
  public:
   /// `ranks_per_node` simulated ranks share each node's injection
@@ -193,8 +208,6 @@ class Fabric {
 
   /// Build-time configuration.
   [[nodiscard]] const FabricConfig& config() const { return config_; }
-  /// The link graph.
-  [[nodiscard]] const FabricTopology& topology() const { return topo_; }
   /// Machine the fabric models.
   [[nodiscard]] const arch::Machine& machine() const { return machine_; }
   /// Simulated ranks per node (count).
@@ -210,9 +223,11 @@ class Fabric {
   }
 
   /// Per-rank share of node injection bandwidth (bytes/s).
-  [[nodiscard]] double rank_bandwidth() const;
+  [[nodiscard]] double rank_bandwidth() const { return rank_bw_; }
   /// rank_bandwidth degraded by the bisection factor (global patterns).
-  [[nodiscard]] double rank_bandwidth_global() const;
+  [[nodiscard]] double rank_bandwidth_global() const {
+    return rank_bw_global_;
+  }
   /// Cost (seconds) of staging a `bytes`-sized device buffer through the
   /// host on one message end; zero when GPU-aware or CPU-only.
   [[nodiscard]] double staging_cost(double bytes) const;
@@ -236,26 +251,23 @@ class Fabric {
   /// Barrier over `ranks` ranks: latency-only tree (seconds).
   [[nodiscard]] double barrier(int ranks) const;
 
-  // --- message transport (EventEngine substrate) ------------------------
+  // --- message paths (EventEngine substrate) -----------------------------
 
-  /// Outcome of one message pushed through the fabric.
-  struct Transfer {
-    /// Virtual time the payload is available at the receiver (seconds).
-    double delivered_s = 0.0;
-    /// Resend attempts the fault layer charged (count).
-    int retries = 0;
+  /// What one message costs regardless of the traffic before it.
+  struct Path {
+    Route links;  ///< links it occupies; none when quiet or same-node
+    /// `bytes` over the slowest of `links`, or over the rank's injection
+    /// share when there are none (seconds).
+    double serial_s = 0.0;
+    double staging_s = 0.0;  ///< host staging at both ends (seconds)
   };
 
-  /// Injects `bytes` from `src_rank` to `dst_rank` at virtual time
-  /// `start_s` and returns the delivery outcome. Congestion serializes
-  /// messages on shared links via per-link cursors; the fault layer may
-  /// drop and re-send with exponential backoff. Delivery order per
-  /// (src, dst) pair is preserved (FIFO channel semantics).
-  [[nodiscard]] Transfer transfer(int src_rank, int dst_rank, double bytes,
-                                  double start_s);
-
-  /// Resets link cursors and channel state (fresh virtual time origin).
-  void reset_transport();
+  /// The path of `bytes` from `src_rank` to `dst_rank`.
+  [[nodiscard]] Path path(int src_rank, int dst_rank, double bytes) const;
+  /// Links in the graph, the ids `path` emits (count; 0 when quiet).
+  [[nodiscard]] std::size_t link_count() const {
+    return topo_ ? topo_->links().size() : 0;
+  }
 
   /// Node hosting `rank` (block placement: rank / ranks_per_node).
   [[nodiscard]] int node_of_rank(int rank) const {
@@ -274,7 +286,6 @@ class Fabric {
   /// runs phases in parallel across pool workers; each dispatch chunk owns
   /// one scratch slot, so concurrent phases never share load ledgers.
   struct PhaseScratch {
-    std::vector<int> route;    ///< link ids of the path being loaded
     std::vector<double> load;  ///< per-link bytes this phase
     std::vector<int> touched;  ///< links with nonzero load this phase
   };
@@ -331,14 +342,13 @@ class Fabric {
   int ranks_per_node_;
   bool gpu_aware_;
   FabricConfig config_;
-  FabricTopology topo_;
-  support::Rng drop_rng_;
-  /// Per-link virtual-time cursor for transfer() serialization (seconds).
-  std::vector<double> link_cursor_;
-  /// Last delivery per (src_rank, dst_rank) channel for FIFO clamping.
-  std::unordered_map<std::uint64_t, double> channel_last_;
+  /// The two rank bandwidths (bytes/s), computed once per fabric.
+  double rank_bw_ = 0.0;
+  double rank_bw_global_ = 0.0;
+  /// The link graph; built only when event-driven.
+  std::optional<FabricTopology> topo_;
   /// Reusable per-chunk scratch slots for the parallel phase engine (slot
-  /// 0 doubles as the serial scratch for p2p/transfer routing).
+  /// 0 doubles as the serial scratch for p2p).
   mutable std::vector<PhaseScratch> phase_scratch_;
 };
 

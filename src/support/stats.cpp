@@ -113,10 +113,4 @@ std::vector<double> weak_scaling_efficiency(std::span<const double> times) {
   return eff;
 }
 
-std::vector<double> strong_scaling_speedup(std::span<const double> times) {
-  // Same ratio as weak-scaling efficiency, but conventionally interpreted as
-  // a speed-up (ideal value grows with the resource count).
-  return weak_scaling_efficiency(times);
-}
-
 }  // namespace exa::support

@@ -39,8 +39,4 @@ struct LinearFit {
 [[nodiscard]] std::vector<double> weak_scaling_efficiency(
     std::span<const double> times);
 
-/// Speed-up series of a strong-scaling run: t(1) / t(n).
-[[nodiscard]] std::vector<double> strong_scaling_speedup(
-    std::span<const double> times);
-
 }  // namespace exa::support

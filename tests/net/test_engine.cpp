@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "arch/machine.hpp"
@@ -336,6 +338,66 @@ TEST(EventEngine, InterleavedTagsMatchFifoPerTag) {
     EXPECT_EQ(reported[k], clock) << "recv " << k;
     clock += overhead;
   }
+}
+
+TEST(EventEngine, FifoClampSpansTags) {
+  // Rank 0 sends to rank 1 on its own node, alternating tags 0 and 1, under
+  // drops. A same-node message claims no link, so only the channel's FIFO
+  // clamp keeps a message from overtaking a retried one before it, and the
+  // channel is (src, dst), not (src, dst, tag). Rank 1 drains tag 1 first.
+  FabricConfig config;
+  config.faults.drop_probability = 0.5;
+  const Fabric fabric(arch::machines::frontier(), 8, config);
+  constexpr int kMessages = 64;
+  std::vector<std::vector<RankOp>> programs(2);
+  for (int i = 0; i < kMessages; ++i) {
+    programs[0].push_back(RankOp::send(1, 4096.0, /*tag=*/i % 2));
+  }
+  for (const int tag : {1, 0}) {
+    for (int i = 0; i < kMessages / 2; ++i) {
+      programs[1].push_back(RankOp::recv(0, tag));
+    }
+  }
+  EventEngine engine(fabric, std::move(programs));
+  const EngineResult r = run_all_pools(engine);
+  ASSERT_EQ(r.messages.size(), static_cast<std::size_t>(kMessages));
+  for (std::size_t i = 1; i < r.messages.size(); ++i) {
+    EXPECT_GE(r.messages[i].delivered_s, r.messages[i - 1].delivered_s)
+        << "message " << i << " (tag " << r.messages[i].tag
+        << ") overtook message " << i - 1;
+  }
+  EXPECT_GT(r.total_retries(), 0) << "drop layer never fired at q=0.5";
+}
+
+TEST(EventEngine, EnginesShareOneFabric) {
+  // The fabric holds no transport state: two engines running on two
+  // threads over one const fabric give what the same runs give one after
+  // the other.
+  const Fabric fabric = engine_fabric(true, true);
+  const auto programs_a = ring_programs(256, 6, 0xE9);
+  const auto programs_b = ring_programs(192, 8, 0xEA);
+  const auto runs = [](EventEngine& engine) {
+    return std::make_pair(engine.run_serial(), engine.run_parallel());
+  };
+  EventEngine first_a(fabric, programs_a);
+  EventEngine first_b(fabric, programs_b);
+  const auto alone_a = runs(first_a);
+  const auto alone_b = runs(first_b);
+
+  // Fresh engines, so their first-run pairing builds also run concurrently.
+  EventEngine second_a(fabric, programs_a);
+  EventEngine second_b(fabric, programs_b);
+  std::pair<EngineResult, EngineResult> shared_a;
+  std::pair<EngineResult, EngineResult> shared_b;
+  std::thread thread_a([&] { shared_a = runs(second_a); });
+  std::thread thread_b([&] { shared_b = runs(second_b); });
+  thread_a.join();
+  thread_b.join();
+  expect_same(alone_a.first, shared_a.first);
+  expect_same(alone_a.first, shared_a.second);
+  expect_same(alone_b.first, shared_b.first);
+  expect_same(alone_b.first, shared_b.second);
+  EXPECT_GT(alone_a.first.total_retries(), 0);
 }
 
 /// Super-step count of `engine`'s parallel run, checked equal at pools

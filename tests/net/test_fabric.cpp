@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
+
+#include "net/engine.hpp"
 
 #include "support/assert.hpp"
 
@@ -37,24 +40,17 @@ Fabric congested_fabric(Topology topo = Topology::kFatTree) {
 
 TEST(FabricTopology, FatTreePathLengths) {
   const FabricTopology topo(arch::machines::frontier(), Topology::kFatTree);
-  std::vector<int> path;
-  topo.route(0, 0, path);
-  EXPECT_TRUE(path.empty());  // same node: no links
-  topo.route(0, 1, path);
-  EXPECT_EQ(path.size(), 2u);  // same leaf: injection + ejection
-  path.clear();
-  topo.route(0, topo.node_count() - 1, path);
-  EXPECT_EQ(path.size(), 4u);  // cross-leaf: + uplink + downlink
+  EXPECT_TRUE(topo.route(0, 0).empty());  // same node: no links
+  EXPECT_EQ(topo.route(0, 1).size(), 2u);  // same leaf: injection + ejection
+  // cross-leaf: + uplink + downlink
+  EXPECT_EQ(topo.route(0, topo.node_count() - 1).size(), 4u);
 }
 
 TEST(FabricTopology, DragonflyPathLengths) {
   const FabricTopology topo(arch::machines::frontier(), Topology::kDragonfly);
-  std::vector<int> path;
-  topo.route(0, 1, path);
-  EXPECT_EQ(path.size(), 3u);  // intra-group: inj + local + ej
-  path.clear();
-  topo.route(0, topo.node_count() - 1, path);
-  EXPECT_EQ(path.size(), 5u);  // inter-group: + local + global + local
+  EXPECT_EQ(topo.route(0, 1).size(), 3u);  // intra-group: inj + local + ej
+  // inter-group: + local + global + local
+  EXPECT_EQ(topo.route(0, topo.node_count() - 1).size(), 5u);
 }
 
 TEST(FabricTopology, UplinksTaperToBisection) {
@@ -63,11 +59,6 @@ TEST(FabricTopology, UplinksTaperToBisection) {
   const double inj = frontier.network.node_injection_bandwidth();
   // Total uplink capacity of one leaf == leaf injection * bisection factor.
   double leaf_up = 0.0;
-  std::vector<int> path;
-  for (int spine = 0; spine < topo.spine_count(); ++spine) {
-    path.clear();
-    topo.route(0, topo.node_count() - 1, path);
-  }
   for (const auto& link : topo.links()) {
     if (link.kind == FabricLink::Kind::kUplink) {
       leaf_up += link.bandwidth_bytes_per_s;
@@ -85,9 +76,7 @@ TEST(FabricTopology, SingleNodeMachineBuilds) {
   one.node_count = 1;
   const FabricTopology topo(one, Topology::kFatTree);
   EXPECT_EQ(topo.switch_count(), 1);
-  std::vector<int> path;
-  topo.route(0, 0, path);
-  EXPECT_TRUE(path.empty());
+  EXPECT_TRUE(topo.route(0, 0).empty());
 }
 
 // --- the LogGP communication model, priced by the quiet fabric ------------
@@ -287,64 +276,105 @@ TEST(Fabric, StragglerMembershipIsDeterministic) {
   EXPECT_LT(stragglers, 350);
 }
 
+// --- message transport, driven through EventEngine programs ---------------
+
+/// Frontier cut to `nodes` nodes of 8 ranks: small enough to give every
+/// rank up to the last one an engine program.
+Fabric small_frontier(FabricConfig config, int nodes) {
+  arch::Machine machine = arch::machines::frontier();
+  machine.node_count = nodes;
+  return Fabric(machine, 8, config);
+}
+
+/// Programs for ranks [0, ranks): `src` posts `count` back-to-back sends of
+/// `bytes` to `dst`, which receives them all.
+std::vector<std::vector<RankOp>> stream_programs(int ranks, int src, int dst,
+                                                 int count, double bytes) {
+  std::vector<std::vector<RankOp>> programs(static_cast<std::size_t>(ranks));
+  for (int i = 0; i < count; ++i) {
+    programs[static_cast<std::size_t>(src)].push_back(RankOp::send(dst, bytes));
+    programs[static_cast<std::size_t>(dst)].push_back(RankOp::recv(src));
+  }
+  return programs;
+}
+
 TEST(Fabric, TransferRetriesPreserveChannelOrder) {
   FabricConfig config;
   config.congestion = true;
   config.faults.drop_probability = 0.4;
   config.faults.seed = 0xD20Full;
-  Fabric fabric(arch::machines::frontier(), 8, config);
+  const Fabric fabric(arch::machines::frontier(), 8, config);
+  EventEngine engine(fabric, stream_programs(10, 0, 9, 200, 4096.0));
+  const EngineResult result = engine.run_serial();
+  ASSERT_EQ(result.messages.size(), 200u);
   double last = -1.0;
-  int total_retries = 0;
-  for (int i = 0; i < 200; ++i) {
-    const auto t = fabric.transfer(0, 9, 4096.0, 0.0);
-    EXPECT_GE(t.delivered_s, last) << "message " << i << " overtook";
-    last = t.delivered_s;
-    total_retries += t.retries;
+  for (std::size_t i = 0; i < result.messages.size(); ++i) {
+    EXPECT_GE(result.messages[i].delivered_s, last)
+        << "message " << i << " overtook";
+    last = result.messages[i].delivered_s;
   }
-  EXPECT_GT(total_retries, 0) << "drop layer never fired at q=0.4";
+  EXPECT_GT(result.total_retries(), 0) << "drop layer never fired at q=0.4";
 }
 
 TEST(Fabric, BackoffBeyond64RetriesIsDefined) {
   // Retry k backs off base * 2^k; past k = 63 that factor no longer fits a
-  // 64-bit shift. Each message starts when the previous one landed, so
-  // its delivery minus its start is at least its own backoff sum.
+  // 64-bit shift. A message's delivery minus its post is at least its own
+  // backoff sum.
   FabricConfig config;
   config.faults.drop_probability = 0.9;
   config.faults.max_retries = 80;
-  Fabric fabric(arch::machines::frontier(), 8, config);
+  const Fabric fabric(arch::machines::frontier(), 8, config);
+  EventEngine engine(fabric, stream_programs(10, 0, 9, 20000, 4096.0));
+  const EngineResult result = engine.run_serial();
   const double base = config.faults.backoff_base_s;
   double last = 0.0;
   int most_retries = 0;
-  for (int i = 0; i < 100000 && most_retries < 65; ++i) {
-    const auto t = fabric.transfer(0, 9, 4096.0, last);
-    ASSERT_TRUE(std::isfinite(t.delivered_s)) << "message " << i;
-    ASSERT_GE(t.delivered_s, last) << "message " << i << " overtook";
-    if (t.retries >= 65) {
+  for (std::size_t i = 0; i < result.messages.size(); ++i) {
+    const MessageRecord& m = result.messages[i];
+    ASSERT_TRUE(std::isfinite(m.delivered_s)) << "message " << i;
+    ASSERT_GE(m.delivered_s, last) << "message " << i << " overtook";
+    if (m.retries >= 65) {
       // Backoffs 0..64 sum to base * (2^65 - 1).
-      EXPECT_GE(t.delivered_s - last, 1.5 * std::ldexp(base, 64));
+      EXPECT_GE(m.delivered_s - m.posted_s, 1.5 * std::ldexp(base, 64));
     }
-    most_retries = std::max(most_retries, t.retries);
-    last = t.delivered_s;
+    most_retries = std::max(most_retries, m.retries);
+    last = m.delivered_s;
   }
   EXPECT_GE(most_retries, 65);
 }
 
 TEST(Fabric, TransferMatchesP2pWhenQuiet) {
-  Fabric fabric = analytic_fabric();
+  const Fabric fabric = small_frontier({}, 2);
+  const int far = fabric.total_ranks() - 1;
   const double start = 1.5e-3;
-  const auto t = fabric.transfer(0, fabric.total_ranks() - 1, 1e6, start);
-  expect_rel_near(start + fabric.p2p(1e6), t.delivered_s,
+  std::vector<std::vector<RankOp>> programs(static_cast<std::size_t>(far) + 1);
+  programs[0] = {RankOp::compute(start), RankOp::send(far, 1e6)};
+  programs[static_cast<std::size_t>(far)] = {RankOp::recv(0)};
+  EventEngine engine(fabric, std::move(programs));
+  const EngineResult result = engine.run_serial();
+  ASSERT_EQ(result.messages.size(), 1u);
+  expect_rel_near(start + fabric.p2p(1e6), result.messages[0].delivered_s,
                   "quiet transfer");
-  EXPECT_EQ(t.retries, 0);
+  EXPECT_EQ(result.messages[0].retries, 0);
 }
 
 TEST(Fabric, TransfersSerializeOnSharedLinks) {
-  Fabric fabric = congested_fabric();
+  FabricConfig config;
+  config.congestion = true;
+  const Fabric fabric = small_frontier(config, 64);
   const int far = fabric.total_ranks() - 1;
-  const auto first = fabric.transfer(0, far, 1e8, 0.0);
-  const auto second = fabric.transfer(0, far, 1e8, 0.0);
+  // Ranks 0 and 1 share node 0's injection link and post at time 0 on two
+  // channels, so only the link, not channel order, can delay the second.
+  std::vector<std::vector<RankOp>> programs(static_cast<std::size_t>(far) + 1);
+  programs[0] = {RankOp::send(far, 1e8)};
+  programs[1] = {RankOp::send(far, 1e8)};
+  programs[static_cast<std::size_t>(far)] = {RankOp::recv(0), RankOp::recv(1)};
+  EventEngine engine(fabric, std::move(programs));
+  const EngineResult result = engine.run_serial();
+  ASSERT_EQ(result.messages.size(), 2u);
   // Same path, same start: the second message queues behind the first.
-  EXPECT_GT(second.delivered_s, first.delivered_s * 1.5);
+  EXPECT_GT(result.messages[1].delivered_s,
+            result.messages[0].delivered_s * 1.5);
 }
 
 TEST(Fabric, RejectsInvalidArguments) {
@@ -353,7 +383,7 @@ TEST(Fabric, RejectsInvalidArguments) {
   EXPECT_THROW((void)fabric.allreduce(1.0, -3), support::Error);
   EXPECT_THROW((void)fabric.bcast(1.0, 0), support::Error);
   EXPECT_THROW((void)fabric.p2p(-1.0), support::Error);
-  EXPECT_THROW((void)fabric.transfer(0, -1, 1.0, 0.0), support::Error);
+  EXPECT_THROW((void)fabric.path(0, -1, 1.0), support::Error);
   FabricConfig bad;
   bad.faults.drop_probability = 0.99;  // > 0.9 cap
   EXPECT_THROW(Fabric(arch::machines::frontier(), 8, bad), support::Error);
