@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "support/assert.hpp"
+#include "support/reduce.hpp"
 #include "support/units.hpp"
 #include "trace/tracer.hpp"
 

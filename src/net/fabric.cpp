@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "support/assert.hpp"
 #include "support/repeat_add.hpp"
@@ -168,16 +169,6 @@ Fabric::Fabric(const arch::Machine& machine, int ranks_per_node,
                        config_.faults.seed);
 }
 
-std::vector<Fabric::PhaseScratch>& Fabric::ensure_scratch(
-    std::size_t count) const {
-  if (phase_scratch_.size() < count) phase_scratch_.resize(count);
-  const std::size_t links = link_count();
-  for (auto& slot : phase_scratch_) {
-    if (slot.load.size() != links) slot.load.assign(links, 0.0);
-  }
-  return phase_scratch_;
-}
-
 double Fabric::staging_cost(double bytes) const {
   if (gpu_aware_ || !machine_.node.has_gpu()) return 0.0;
   const arch::HostLink& link = machine_.node.gpu->host_link;
@@ -202,32 +193,44 @@ void Fabric::trace(const char* op, double bytes, int ranks,
       "fabric", cost, "net");
 }
 
-void Fabric::load_message(PhaseScratch& scratch, int src_rank, int dst_rank,
-                          double bytes) const {
-  if (bytes <= 0.0) return;
-  const int sn = node_of_rank(src_rank);
-  const int dn = node_of_rank(dst_rank);
-  if (sn == dn) return;
-  for (const int link : topo_->route(sn, dn)) {
-    if (scratch.load[static_cast<std::size_t>(link)] == 0.0) {
-      scratch.touched.push_back(link);
+void Fabric::load_shift(int src, int dst, int len) const {
+  auto& count = scratch_.count;
+  if (count.empty()) count.assign(link_count(), 0);
+  const int rpn = ranks_per_node_;
+  while (len > 0) {
+    const int run = std::min({len, rpn - src % rpn, rpn - dst % rpn});
+    const int sn = src / rpn;
+    const int dn = dst / rpn;
+    if (sn != dn) {
+      for (const int link : topo_->route(sn, dn)) {
+        std::uint32_t& c = count[static_cast<std::size_t>(link)];
+        if (c == 0) scratch_.touched.push_back(link);
+        c += static_cast<std::uint32_t>(run);
+      }
     }
-    scratch.load[static_cast<std::size_t>(link)] += bytes;
+    src += run;
+    dst += run;
+    len -= run;
   }
 }
 
-double Fabric::drain_loads(PhaseScratch& scratch) const {
+double Fabric::drain_loads(double bytes) const {
+  // load_of[k] is k sequential `+= bytes` from 0.0, the ledger the
+  // per-message walk kept; `k * bytes` would round differently.
+  auto& load_of = scratch_.load_of;
+  load_of.assign(1, 0.0);
   double worst = 0.0;
   const double degrade = config_.faults.degrade_factor;
-  for (const int link : scratch.touched) {
+  for (const int link : scratch_.touched) {
+    const std::uint32_t k =
+        std::exchange(scratch_.count[static_cast<std::size_t>(link)], 0u);
+    while (load_of.size() <= k) load_of.push_back(load_of.back() + bytes);
     const double bw =
         topo_->links()[static_cast<std::size_t>(link)].effective_bandwidth(
             degrade);
-    worst = std::max(worst,
-                     scratch.load[static_cast<std::size_t>(link)] / bw);
-    scratch.load[static_cast<std::size_t>(link)] = 0.0;
+    worst = std::max(worst, load_of[k] / bw);
   }
-  scratch.touched.clear();
+  scratch_.touched.clear();
   return worst;
 }
 
@@ -251,23 +254,23 @@ double Fabric::ring_phases(double bytes_per_pair, int ranks) const {
                                static_cast<std::uint64_t>(phases));
   }
   const int samples = std::min(phases, config_.max_sampled_phases);
-  // Phases are independent given their own scratch: route loads, drain the
-  // bottleneck, add the fault surcharge. phase_sum runs them across the
-  // pool and combines in phase order (bitwise equal to the serial loop).
-  const double sampled =
-      phase_sum(samples, [&](int i, PhaseScratch& scratch) {
-        const int k =
-            1 + static_cast<int>((static_cast<std::int64_t>(i) * phases) /
-                                 samples);
-        for (int r = 0; r < ranks; ++r) {
-          load_message(scratch, r, (r + k) % ranks, bytes_per_pair);
-        }
-        const double congested = drain_loads(scratch);
-        return std::max(bytes_per_pair / bwg, congested) +
+  // Each sampled phase is a shift r -> (r + k) % ranks: count its loads,
+  // drain the bottleneck, add the fault surcharge.
+  double sampled = 0.0;
+  for (int i = 0; i < samples; ++i) {
+    const int k =
+        1 + static_cast<int>((static_cast<std::int64_t>(i) * phases) /
+                             samples);
+    if (bytes_per_pair > 0.0) {
+      load_shift(0, k, ranks - k);
+      load_shift(ranks - k, 0, k);
+    }
+    const double congested = drain_loads(bytes_per_pair);
+    sampled += std::max(bytes_per_pair / bwg, congested) +
                retry_surcharge(static_cast<double>(ranks),
                                net.per_message_overhead_s +
                                    bytes_per_pair / bwg);
-      });
+  }
   return sampled / samples * phases;
 }
 
@@ -282,34 +285,32 @@ double Fabric::tree_phases(double total_volume, int ranks, int steps,
                                static_cast<std::uint64_t>(steps));
   }
   const int levels = std::max(1, static_cast<int>(log2_ceil(ranks)));
-  return phase_sum(steps, [&](int j, PhaseScratch& scratch) {
+  double total = 0.0;
+  for (int j = 0; j < steps; ++j) {
     const int distance = 1 << (j % levels);
-    double msgs = 0.0;
-    if (per_phase > 0.0) {
-      if (pairwise) {
-        // Recursive doubling: r <-> r ^ distance.
-        for (int r = 0; r < ranks; ++r) {
-          const int partner = r ^ distance;
-          if (partner < ranks) {
-            load_message(scratch, r, partner, per_phase);
-            msgs += 1.0;
-          }
-        }
-      } else {
-        // Binomial tree: r < distance sends to r + distance.
-        for (int r = 0; r < distance && r + distance < ranks; ++r) {
-          load_message(scratch, r, r + distance, per_phase);
-          msgs += 1.0;
-        }
+    double msgs = pairwise ? static_cast<double>(ranks) : 1.0;
+    if (per_phase > 0.0 && pairwise) {
+      // Recursive doubling: r <-> r ^ distance, so within each block of
+      // 2 * distance ranks the two halves swap.
+      msgs = 0.0;
+      for (int lo = 0; ranks - lo > distance; lo += 2 * distance) {
+        const int len = std::min(distance, ranks - lo - distance);
+        load_shift(lo, lo + distance, len);
+        load_shift(lo + distance, lo, len);
+        msgs += 2.0 * len;
       }
-    } else {
-      msgs = pairwise ? static_cast<double>(ranks) : 1.0;
+    } else if (per_phase > 0.0) {
+      // Binomial tree: r < distance sends to r + distance.
+      const int len = std::max(0, std::min(distance, ranks - distance));
+      load_shift(0, distance, len);
+      msgs = static_cast<double>(len);
     }
-    const double congested = drain_loads(scratch);
-    return std::max(per_phase / bwg, congested) +
-           retry_surcharge(msgs, net.per_message_overhead_s +
-                                     per_phase / bwg);
-  });
+    const double congested = drain_loads(per_phase);
+    total += std::max(per_phase / bwg, congested) +
+             retry_surcharge(msgs, net.per_message_overhead_s +
+                                       per_phase / bwg);
+  }
+  return total;
 }
 
 double Fabric::p2p(double bytes) const {
@@ -319,9 +320,8 @@ double Fabric::p2p(double bytes) const {
   double volume_s = analytic;
   if (event_driven()) {
     // Canonical placement: rank 0 to the last rank, crossing the core.
-    PhaseScratch& scratch = ensure_scratch(1)[0];
-    load_message(scratch, 0, total_ranks() - 1, bytes);
-    volume_s = std::max(analytic, drain_loads(scratch)) +
+    if (bytes > 0.0) load_shift(0, total_ranks() - 1, 1);
+    volume_s = std::max(analytic, drain_loads(bytes)) +
                retry_surcharge(1.0, net.per_message_overhead_s + analytic);
   }
   const double cost = net.latency_s + net.per_message_overhead_s + volume_s +
@@ -350,19 +350,21 @@ double Fabric::halo_exchange(double bytes_per_face, int faces) const {
     const int p = total_ranks();
     const int stride = std::max(
         1, static_cast<int>(std::round(std::cbrt(static_cast<double>(p)))));
-    cost = phase_sum(faces, [&](int f, PhaseScratch& scratch) {
+    for (int f = 0; f < faces; ++f) {
       const int axis = (f / 2) % 3;
       int offset = axis == 0 ? 1 : (axis == 1 ? stride : stride * stride);
       if (f % 2 == 1) offset = p - offset;  // negative direction mod p
-      for (int r = 0; r < p; ++r) {
-        load_message(scratch, r, (r + offset) % p, bytes_per_face);
+      offset %= p;
+      if (bytes_per_face > 0.0) {
+        load_shift(0, offset, p - offset);
+        load_shift(p - offset, 0, offset);
       }
-      const double congested = drain_loads(scratch);
-      return fixed + std::max(bytes_per_face / bw, congested) +
-             retry_surcharge(static_cast<double>(p),
-                             net.per_message_overhead_s +
-                                 bytes_per_face / bw);
-    });
+      const double congested = drain_loads(bytes_per_face);
+      cost += fixed + std::max(bytes_per_face / bw, congested) +
+              retry_surcharge(static_cast<double>(p),
+                              net.per_message_overhead_s +
+                                  bytes_per_face / bw);
+    }
   }
   trace("halo_exchange", bytes_per_face * faces, faces, cost);
   return cost;

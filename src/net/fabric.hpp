@@ -23,8 +23,9 @@
 ///  * a **phase engine** for collectives: each collective becomes a
 ///    schedule of communication phases; quiet, its equal phases sum in
 ///    closed form (`support::repeat_add`, bitwise the per-phase loop), and
-///    congested, every phase routes its messages over the link graph and
-///    charges the bottleneck link;
+///    congested, every phase counts its messages per link, routing once
+///    per run of ranks that share a (source node, destination node) pair,
+///    and charges the bottleneck link; the phases sum in one serial loop;
 ///  * a **fault/perturbation layer**: deterministic degraded links,
 ///    straggler ranks, and dropped-then-retried messages with exponential
 ///    backoff.
@@ -32,7 +33,8 @@
 /// `tests/qa` property-tests the quiet path over random and catalog
 /// machines: bitwise against the per-phase loops, and to 1e-9 relative
 /// against the textbook LogGP formulas (only floating-point association
-/// differs).
+/// differs). The congested path is property-tested bitwise against the
+/// per-message `double` load walk it replaced.
 ///
 /// Units: all times are seconds, all sizes bytes, all bandwidths bytes/s.
 
@@ -42,8 +44,6 @@
 #include <vector>
 
 #include "arch/machine.hpp"
-#include "support/reduce.hpp"
-#include "support/thread_pool.hpp"
 
 namespace exa::net {
 
@@ -196,7 +196,7 @@ class FabricTopology {
 ///
 /// Thread safety: quiet cost queries, `path` and `straggler_scale` are
 /// safe to call concurrently, so engines may share one `const Fabric`.
-/// Event-driven collectives reuse a per-fabric phase scratch, so those
+/// Event-driven collectives reuse one per-fabric phase scratch, so those
 /// calls on the same Fabric must be externally serialized.
 class Fabric {
  public:
@@ -282,50 +282,24 @@ class Fabric {
   }
 
  private:
-  /// Routing/load scratch for one phase of a collective. The phase engine
-  /// runs phases in parallel across pool workers; each dispatch chunk owns
-  /// one scratch slot, so concurrent phases never share load ledgers.
+  /// Link loads of one phase of a collective. Every message of a phase
+  /// has the same size, so a link's load after k messages is k
+  /// sequential `+= bytes`, whichever ranks sent them: the phase counts
+  /// messages per link and `drain_loads` turns counts into loads.
   struct PhaseScratch {
-    std::vector<double> load;  ///< per-link bytes this phase
-    std::vector<int> touched;  ///< links with nonzero load this phase
+    std::vector<std::uint32_t> count;  ///< messages per link this phase
+    std::vector<int> touched;          ///< links with a nonzero count
+    std::vector<double> load_of;       ///< load_of[k]: k sequential adds
   };
 
-  /// Grows the reusable scratch pool to `count` slots (each drained back
-  /// to all-zero between uses) and returns it.
-  std::vector<PhaseScratch>& ensure_scratch(std::size_t count) const;
-
-  /// Sums term(phase, scratch) over `phases` phases, dispatched across the
-  /// global ThreadPool with support::deterministic_reduce: chunk
-  /// boundaries depend only on the phase count and partials combine in
-  /// ascending phase order, so the sum is bitwise identical to the
-  /// historical serial `for (phase) total += term(phase)` loop at any
-  /// EXA_THREADS whenever phases <= support::kReduceSlots (always true for
-  /// the <= max_sampled_phases schedules the collectives emit).
-  template <typename PhaseTerm>
-  [[nodiscard]] double phase_sum(int phases, PhaseTerm&& term) const {
-    if (phases <= 0) return 0.0;
-    const auto n = static_cast<std::size_t>(phases);
-    const std::size_t grain = support::reduce_grain(n);
-    auto& scratch = ensure_scratch((n + grain - 1) / grain);
-    return support::deterministic_reduce(
-        support::ThreadPool::global(), n,
-        [&](std::size_t lo, std::size_t hi) {
-          PhaseScratch& slot = scratch[lo / grain];
-          double partial = 0.0;
-          for (std::size_t ph = lo; ph < hi; ++ph) {
-            partial += term(static_cast<int>(ph), slot);
-          }
-          return partial;
-        });
-  }
-
-  /// Accumulates `bytes` onto every link of the rank-level path
-  /// src_rank -> dst_rank (no-op for same-node or empty messages).
-  void load_message(PhaseScratch& scratch, int src_rank, int dst_rank,
-                    double bytes) const;
-  /// Bottleneck seconds over the links touched since the last drain
-  /// (max of load / effective bandwidth), then clears the load ledger.
-  [[nodiscard]] double drain_loads(PhaseScratch& scratch) const;
+  /// Counts one message from rank `src + i` to rank `dst + i` for every i
+  /// in [0, len), routing once per run of ranks that share a (source
+  /// node, destination node) pair (same-node runs load no link).
+  void load_shift(int src, int dst, int len) const;
+  /// Bottleneck seconds of the phase counted since the last drain, whose
+  /// messages carry `bytes` each (max of load / effective bandwidth over
+  /// the touched links), then clears the counts.
+  [[nodiscard]] double drain_loads(double bytes) const;
   /// Expected fault surcharge for one phase of `msgs` concurrent messages
   /// whose resend costs `msg_cost_s` (seconds).
   [[nodiscard]] double retry_surcharge(double msgs, double msg_cost_s) const;
@@ -347,9 +321,9 @@ class Fabric {
   double rank_bw_global_ = 0.0;
   /// The link graph; built only when event-driven.
   std::optional<FabricTopology> topo_;
-  /// Reusable per-chunk scratch slots for the parallel phase engine (slot
-  /// 0 doubles as the serial scratch for p2p).
-  mutable std::vector<PhaseScratch> phase_scratch_;
+  /// The phase scratch of the event-driven collectives; `count` is sized
+  /// to the link graph on first use.
+  mutable PhaseScratch scratch_;
 };
 
 }  // namespace exa::net

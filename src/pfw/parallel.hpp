@@ -100,8 +100,8 @@ class DispatchSpan {
 };
 
 /// Deterministic chunk-ordered reduction, hoisted to the support layer
-/// (support/reduce.hpp) so net::Fabric's phase engine shares the exact
-/// combination order; re-exported here for existing pfw call sites.
+/// (support/reduce.hpp) so layers below pfw can use it without the
+/// simulated-device runtime; re-exported here for existing pfw call sites.
 using support::deterministic_reduce;
 using support::kReduceSlots;
 using support::reduce_grain;

@@ -11,8 +11,9 @@
 /// and EXA_THREADS settings.
 ///
 /// This used to live in pfw::detail (PR 3's parallel_reduce); it moved
-/// here so layers below pfw — net::Fabric's phase engine in particular —
-/// can reuse it without pulling in the simulated-device runtime.
+/// here so layers below pfw can reuse it without pulling in the
+/// simulated-device runtime (net::EventEngine sizes its per-chunk slots
+/// with `reduce_grain`).
 /// pfw::parallel_reduce still charges the simulated launch; callers here
 /// pay host time only.
 
@@ -34,9 +35,8 @@ inline constexpr std::size_t kReduceSlots = 256;
 /// Sums chunk_body(lo, hi) partials over [0, n) split at fixed grain
 /// boundaries, combining them in ascending chunk order. With n <=
 /// kReduceSlots every chunk covers exactly one index, so the total is the
-/// exact left fold sum(body(0)) + body(1) + ... — the property the fabric
-/// phase engine relies on to keep parallel phase sums bitwise identical
-/// to the historical serial accumulation.
+/// exact left fold sum(body(0)) + body(1) + ..., bitwise the serial
+/// accumulation loop.
 template <typename ChunkBody>
 [[nodiscard]] double deterministic_reduce(ThreadPool& pool, std::size_t n,
                                           ChunkBody&& chunk_body) {

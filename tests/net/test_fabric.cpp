@@ -240,6 +240,30 @@ TEST(Fabric, DragonflyCongestsGlobalLinks) {
   EXPECT_GT(on.alltoall(1e5, large), 1.5 * off.alltoall(1e5, large));
 }
 
+TEST(Fabric, CongestedFrontierPricesPerNodeRun) {
+  // The congested halo loads every rank of the machine, and a whole-machine
+  // alltoall samples 48 shifts of all of them: 75,264 ranks at one per
+  // GCD, 602,112 at one per core. Routing once per node run keeps these
+  // queries cheap; the `fabric_congested_frontier` ctest times them out
+  // if they go back to routing once per rank.
+  const arch::Machine frontier = arch::machines::frontier();
+  for (const Topology topo : {Topology::kFatTree, Topology::kDragonfly}) {
+    for (const int rpn : {8, 64}) {
+      FabricConfig config;
+      config.topology = topo;
+      const Fabric quiet(frontier, rpn, config);
+      config.congestion = true;
+      config.faults.straggler_fraction = 0.0625;
+      config.faults.straggler_slowdown = 4.0;
+      const Fabric fabric(frontier, rpn, config);
+      const double face = 1024.0 * 1024.0;
+      EXPECT_GE(fabric.halo_exchange(face, 6), quiet.halo_exchange(face, 6));
+      EXPECT_GE(fabric.alltoall(face / 64, fabric.total_ranks()),
+                quiet.alltoall(face / 64, quiet.total_ranks()));
+    }
+  }
+}
+
 // --- faults ---------------------------------------------------------------
 
 TEST(Fabric, DegradedLinksSlowCollectives) {

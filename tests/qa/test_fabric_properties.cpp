@@ -3,7 +3,9 @@
 /// off, every Fabric cost is the LogGP closed form — bitwise equal to the
 /// per-phase loops it sums, and within 1e-9 relative of the textbook
 /// formulas — over *random* machine configurations and message sizes as
-/// well as the catalog machines. A further property drives the live fault
+/// well as the catalog machines. With congestion or faults on, every cost
+/// is bitwise equal to the per-message load walk the fabric replaced with
+/// per-link message counts. A further property drives the live fault
 /// layer and asserts retried messages never overtake earlier ones on the
 /// same (src, dst) channel.
 
@@ -98,9 +100,9 @@ Query gen_query(Gen& g, int total_ranks) {
 constexpr std::array<const char*, 6> kOps = {
     "p2p", "halo", "allreduce", "alltoall", "bcast", "barrier"};
 
-/// The six quiet cost queries of `model` (a Fabric or a test oracle).
+/// The six cost queries of `model` (a Fabric or a test oracle).
 template <typename Model>
-std::array<double, 6> quiet_costs(const Model& model, const Query& q) {
+std::array<double, 6> costs(const Model& model, const Query& q) {
   return {model.p2p(q.bytes), model.halo_exchange(q.bytes, q.faces),
           model.allreduce(q.bytes, q.ranks), model.alltoall(q.bytes, q.ranks),
           model.bcast(q.bytes, q.ranks), model.barrier(q.ranks)};
@@ -230,8 +232,8 @@ void check_quiet_fabric(Gen& g, const Same& same, const char* oracle) {
   const Oracle model(c.machine, c.rpn, c.gpu_aware);
   for (int i = 0; i < kQueriesPerFabric; ++i) {
     const Query q = gen_query(g, fabric.total_ranks());
-    const auto want = quiet_costs(model, q);
-    const auto got = quiet_costs(fabric, q);
+    const auto want = costs(model, q);
+    const auto got = costs(fabric, q);
     for (std::size_t op = 0; op < kOps.size(); ++op) {
       require(same(want[op], got[op]),
               std::string(kOps[op]) + " drifted from the " + oracle +
@@ -262,6 +264,202 @@ EXA_PROPERTY(FabricProps, QuietFabricMatchesCommModel) {
         return std::abs(got - want) / scale <= 1e-9;
       },
       "textbook LogGP formulas");
+}
+
+/// The oracle for the congested phase engine: the event-driven Fabric as
+/// it priced collectives before it counted messages per link. Every
+/// message of every phase walks its own route and adds its bytes to a
+/// `double` load per link, and the phases sum in ascending order (what
+/// the parallel phase dispatch it also used gave, bitwise, for up to 256
+/// phases).
+struct PerMessageLoads : LogGPTerms {
+  PerMessageLoads(const arch::Machine& m, int rpn, bool gpu_aware,
+                  const net::FabricConfig& config)
+      : LogGPTerms(m, rpn, gpu_aware),
+        topo(m, config.topology),
+        faults(config.faults),
+        max_sampled(config.max_sampled_phases),
+        rpn(rpn),
+        total_ranks(m.node_count * rpn) {
+    topo.degrade_links(faults.degraded_link_fraction, faults.seed);
+    load.assign(topo.links().size(), 0.0);
+  }
+
+  void load_message(int src, int dst, double bytes) const {
+    if (bytes <= 0.0) return;
+    for (const int link : topo.route(src / rpn, dst / rpn)) {
+      double& l = load[static_cast<std::size_t>(link)];
+      if (l == 0.0) touched.push_back(link);
+      l += bytes;
+    }
+  }
+  [[nodiscard]] double drain() const {
+    double worst = 0.0;
+    for (const int link : touched) {
+      const double bw_link =
+          topo.links()[static_cast<std::size_t>(link)].effective_bandwidth(
+              faults.degrade_factor);
+      worst = std::max(worst, load[static_cast<std::size_t>(link)] / bw_link);
+      load[static_cast<std::size_t>(link)] = 0.0;
+    }
+    touched.clear();
+    return worst;
+  }
+  [[nodiscard]] double retry(double msgs, double cost) const {
+    const double q = faults.drop_probability;
+    if (q <= 0.0 || msgs <= 0.0) return 0.0;
+    return (1.0 - std::pow(1.0 - q, msgs)) * (cost + faults.backoff_base_s);
+  }
+  [[nodiscard]] double ring(double m, int p) const {
+    const int phases = p - 1;
+    const int samples = std::min(phases, max_sampled);
+    double sampled = 0.0;
+    for (int i = 0; i < samples; ++i) {
+      const int k = 1 + static_cast<int>(
+                            (static_cast<std::int64_t>(i) * phases) / samples);
+      for (int r = 0; r < p; ++r) load_message(r, (r + k) % p, m);
+      const double congested = drain();
+      sampled += std::max(m / bwg, congested) + retry(p, o + m / bwg);
+    }
+    return sampled / samples * phases;
+  }
+  [[nodiscard]] double tree(double volume, int p, int steps,
+                            bool pairwise) const {
+    const double per_phase = steps > 0 ? volume / steps : 0.0;
+    const int levels = std::max(1, static_cast<int>(log2_ceil(p)));
+    double sum = 0.0;
+    for (int j = 0; j < steps; ++j) {
+      const int distance = 1 << (j % levels);
+      double msgs = 0.0;
+      if (per_phase > 0.0) {
+        for (int r = 0; r < p; ++r) {
+          const int partner = pairwise ? r ^ distance : r + distance;
+          if (partner < p && (pairwise || r < distance)) {
+            load_message(r, partner, per_phase);
+            msgs += 1.0;
+          }
+        }
+      } else {
+        msgs = pairwise ? static_cast<double>(p) : 1.0;
+      }
+      const double congested = drain();
+      sum += std::max(per_phase / bwg, congested) +
+             retry(msgs, o + per_phase / bwg);
+    }
+    return sum;
+  }
+
+  [[nodiscard]] double p2p(double m) const {
+    load_message(0, total_ranks - 1, m);
+    const double volume = std::max(m / bw, drain()) + retry(1.0, o + m / bw);
+    return L + o + volume + 2.0 * staging(m);
+  }
+  [[nodiscard]] double halo_exchange(double m, int faces) const {
+    const double fixed = L + o + 2.0 * staging(m);
+    const int p = total_ranks;
+    const int stride = std::max(
+        1, static_cast<int>(std::round(std::cbrt(static_cast<double>(p)))));
+    double cost = 0.0;
+    for (int f = 0; f < faces; ++f) {
+      const int axis = (f / 2) % 3;
+      int offset = axis == 0 ? 1 : (axis == 1 ? stride : stride * stride);
+      if (f % 2 == 1) offset = p - offset;
+      for (int r = 0; r < p; ++r) load_message(r, (r + offset) % p, m);
+      const double congested = drain();
+      cost += fixed + std::max(m / bw, congested) + retry(p, o + m / bw);
+    }
+    return cost;
+  }
+  [[nodiscard]] double allreduce(double m, int p) const {
+    if (p == 1) return 0.0;
+    const double steps = 2.0 * log2_ceil(p);
+    const double volume = 2.0 * m * (static_cast<double>(p - 1) / p);
+    return steps * (L + o) + tree(volume, p, static_cast<int>(steps), true) +
+           2.0 * staging(m);
+  }
+  [[nodiscard]] double alltoall(double m, int p) const {
+    if (p == 1) return 0.0;
+    const double peers = p - 1;
+    return peers * o + L + ring(m, p) + 2.0 * staging(peers * m);
+  }
+  [[nodiscard]] double bcast(double m, int p) const {
+    if (p == 1) return 0.0;
+    const double steps = log2_ceil(p);
+    return steps * (L + o) + tree(m, p, static_cast<int>(steps), false) +
+           2.0 * staging(m);
+  }
+  [[nodiscard]] double barrier(int p) const {
+    if (p == 1) return 0.0;
+    const int steps = static_cast<int>(2.0 * log2_ceil(p));
+    return steps * (L + o) + tree(0.0, p, steps, true);
+  }
+
+  net::FabricTopology topo;
+  net::FaultConfig faults;
+  int max_sampled;
+  int rpn;
+  int total_ranks;
+  mutable std::vector<double> load;
+  mutable std::vector<int> touched;
+};
+
+/// Message sizes whose repeated sums round: 0.1, 1/3 and 3 * 2^-60 never
+/// add exactly, and the large odd-mantissa sizes cross binades within a
+/// few messages, so `count * bytes` differs from the sequential loads.
+double gen_congested_bytes(Gen& g) {
+  static const std::vector<double> kRounding = {
+      0.1, 1.0 / 3.0, 3.0 * 0x1p-60, 0x1.fffffffffffffp+30,
+      0x1.5555555555555p+27, 1.0e9 / 3.0};
+  return g.chance(0.5) ? g.pick(kRounding) : gen_bytes(g);
+}
+
+EXA_PROPERTY(FabricProps, CongestedFabricMatchesPerMessageLoads) {
+  // Node counts off the 32-node switch grid and 1..9 ranks per node, so
+  // node runs and switch boundaries fall out of step.
+  arch::Machine machine = gen_machine(g);
+  machine.node_count = static_cast<int>(g.size(1, 1200));
+  if (machine.node_count % 32 == 0) ++machine.node_count;
+  const int rpn = static_cast<int>(g.size(1, 9));
+  const bool gpu_aware = g.chance(0.5);
+  net::FabricConfig config;
+  config.topology =
+      g.chance(0.5) ? net::Topology::kFatTree : net::Topology::kDragonfly;
+  config.congestion = g.chance(0.5);
+  auto& f = config.faults;
+  f.seed = g.u64();
+  if (g.chance(0.5)) {
+    f.degraded_link_fraction = g.uniform(0.0, 0.5);
+    f.degrade_factor = g.uniform(0.1, 1.0);
+  }
+  if (g.chance(0.5)) {
+    f.straggler_fraction = g.uniform(0.01, 0.3);
+    f.straggler_slowdown = g.uniform(1.0, 4.0);
+  }
+  if (g.chance(0.5)) f.drop_probability = g.uniform(0.0, 0.6);
+  if (!config.congestion && !f.any()) f.straggler_fraction = 0.05;
+  const net::Fabric fabric(machine, rpn, config, gpu_aware);
+  const PerMessageLoads oracle(machine, rpn, gpu_aware, config);
+  for (int i = 0; i < 4; ++i) {
+    Query q;
+    q.bytes = gen_congested_bytes(g);
+    q.ranks = static_cast<int>(
+        g.size(1, static_cast<std::size_t>(fabric.total_ranks())));
+    q.faces = static_cast<int>(g.size(0, 26));
+    const auto want = costs(oracle, q);
+    const auto got = costs(fabric, q);
+    for (std::size_t op = 0; op < kOps.size(); ++op) {
+      require(std::bit_cast<std::uint64_t>(want[op]) ==
+                  std::bit_cast<std::uint64_t>(got[op]),
+              std::string(kOps[op]) +
+                  " drifted from the per-message loads: want=" +
+                  exact(want[op]) + " fabric=" + exact(got[op]) +
+                  " nodes=" + std::to_string(machine.node_count) +
+                  " rpn=" + std::to_string(rpn) +
+                  " ranks=" + std::to_string(q.ranks) +
+                  " bytes=" + exact(q.bytes) +
+                  " faces=" + std::to_string(q.faces));
+    }
+  }
 }
 
 /// The 1e-9 analytic-equivalence gate extended to the event engine: with
