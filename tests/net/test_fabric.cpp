@@ -243,12 +243,13 @@ TEST(Fabric, DragonflyCongestsGlobalLinks) {
 TEST(Fabric, CongestedFrontierPricesPerNodeRun) {
   // The congested halo loads every rank of the machine, and a whole-machine
   // alltoall samples 48 shifts of all of them: 75,264 ranks at one per
-  // GCD, 602,112 at one per core. Routing once per node run keeps these
-  // queries cheap; the `fabric_congested_frontier` ctest times them out
-  // if they go back to routing once per rank.
+  // GCD, 602,112 at one per core, 38.5 M at 4096 per node. Routing once
+  // per node run makes the route count independent of ranks per node;
+  // routing once per rank takes about 16 s on a 4-vCPU host, which
+  // the `fabric_congested_frontier` ctest TIMEOUT catches.
   const arch::Machine frontier = arch::machines::frontier();
   for (const Topology topo : {Topology::kFatTree, Topology::kDragonfly}) {
-    for (const int rpn : {8, 64}) {
+    for (const int rpn : {8, 64, 4096}) {
       FabricConfig config;
       config.topology = topo;
       const Fabric quiet(frontier, rpn, config);
